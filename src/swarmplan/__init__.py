@@ -11,10 +11,11 @@ audited commits and robustness trials (fleet).
 from .config import RunConfig, load_config
 from .dynamics import (Limits, StateInput, VehicleModel, flat_batch,
                        flatness_map, integrate_dynamics)
-from .errors import (AuditFailure, CoverageGap, EmptyInterior,
-                     EmptyIntersection, NoFreeSpace, NoPath, NotInPolytope,
-                     PlanningError, PostCheckFailure, ScheduleTimeout,
-                     SingularAttitude, SingularSystem, Unbounded)
+from .errors import (AuditFailure, BlockedEndpoint, CoverageGap,
+                     EmptyInterior, EmptyIntersection, NoFreeSpace, NoPath,
+                     NotInPolytope, PlanningError, PostCheckFailure,
+                     ScheduleTimeout, SingularAttitude, SingularSystem,
+                     Unbounded)
 from .fleet import (DisturbanceSpec, FleetDb, Mission, min_pairwise_distance,
                     robustness_experiment)
 from .geom import (Aabb, HalfspacePolytope, ObstacleMap, PolyMap,
@@ -33,9 +34,10 @@ from .penalty import (ConstantYaw, PenaltyConfig, SafetyMargins, TangentYaw,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aabb", "AuditFailure", "BoundaryState", "ConstantYaw", "CoordinateChart",
-    "Corridor", "CoverageGap", "DisturbanceSpec", "EmptyInterior",
-    "EmptyIntersection", "FleetDb", "GradientBundle", "HalfspacePolytope",
+    "Aabb", "AuditFailure", "BlockedEndpoint", "BoundaryState", "ConstantYaw",
+    "CoordinateChart", "Corridor", "CoverageGap", "DisturbanceSpec",
+    "EmptyInterior", "EmptyIntersection", "FleetDb", "GradientBundle",
+    "HalfspacePolytope",
     "Limits", "MincoTrajectory", "Mission", "NoFreeSpace", "NoPath",
     "NotInPolytope", "ObstacleMap", "Path", "PenaltyConfig", "PlanningError",
     "PolyMap", "PostCheckFailure", "RunConfig", "SafetyMargins",

@@ -4,6 +4,10 @@ Commands: polyhedronize, fleet, check, robustness, profile.  Common flags
 --config/--seed/--out.  Exit codes: 0 success, 1 usage error, 2 planning
 failure, 3 audit failure.  Outputs are deterministic for a fixed seed and
 written atomically.
+
+check applies optimize.post_check to each trajectory, with the whole
+polytope cover as its corridor and no neighbors, plus the fleet's final
+audit (fleet.audit_rows) to every pair.
 """
 
 from __future__ import annotations
@@ -17,16 +21,14 @@ import numpy as np
 from . import fleet as fleetmod
 from . import geom, io, optimize, penalty
 from .config import load_config
-from .dynamics import flat_batch, limits_residual_batch
-from .errors import AuditFailure, PlanningError
+from .dynamics import flat_batch
+from .errors import AuditFailure, PlanningError, PostCheckFailure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PLANNING = 2
 EXIT_AUDIT = 3
 
-MARGIN_TOL = -1e-3
-LIMITS_TOL = 1e-3
 PROFILE_HZ = 100.0
 
 
@@ -167,14 +169,6 @@ def cmd_fleet(args) -> int:
     return EXIT_OK
 
 
-def _union_margin(polymap, pts):
-    """Containment depth against the whole polytope union, per point."""
-    depth = np.full(len(pts), -np.inf)
-    for poly in polymap.polytopes:
-        depth = np.maximum(depth, poly.depth_many(pts))
-    return depth
-
-
 def cmd_check(args) -> int:
     cfg, _ = _setup(args)
     polymap = io.load_polymap(args.polymap)
@@ -183,46 +177,27 @@ def cmd_check(args) -> int:
     margins = cfg.safety_margins()
     trajs = {os.path.basename(p): io.load_trajectory(p)
              for p in args.trajectories}
-    scale = np.array([limits.v_max ** 2, limits.omega_max ** 2, 1.0,
-                      limits.f_r ** 2])
     failures = []
 
     worst_contain = np.inf
     worst_limits = -np.inf
     for name, traj in trajs.items():
-        n = max(int(np.ceil(traj.total_duration / 0.01)) + 1, 64)
-        ts = np.linspace(traj.t0, traj.t_end, n)
-        pos = traj.eval_many(ts, 0)
-        depth = _union_margin(polymap, pos)
-        cmargin = float(np.min(depth))
-        worst_contain = min(worst_contain, cmargin)
-        if cmargin < MARGIN_TOL:
-            failures.append(f"{name}: containment margin {cmargin:.4e}")
-        vel = traj.eval_many(ts, 1)
-        acc = traj.eval_many(ts, 2)
-        jer = traj.eval_many(ts, 3)
-        psi, dpsi, _ = penalty.ConstantYaw().eval(vel, acc)
-        flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=False)
-        lnorm = float(np.max(limits_residual_batch(limits, flat) / scale))
-        worst_limits = max(worst_limits, lnorm)
-        if lnorm > LIMITS_TOL:
-            failures.append(f"{name}: limit residual {lnorm:.4e}")
+        try:
+            post = optimize.post_check(traj, polymap.polytopes, (), margins,
+                                       model, limits)
+        except PostCheckFailure as exc:
+            post = exc.margins
+            failures.append(f"{name}: {exc}")
+        worst_contain = min(worst_contain,
+                            post.get("corridor_margin", np.inf))
+        worst_limits = max(worst_limits, post.get("limits_norm", -np.inf))
 
-    res = (fleetmod.FINAL_RES_FACTOR * margins.M_d if margins.M_d > 0.0
-           else fleetmod.FINAL_RES_FACTOR * 10.0)
-    worst_pair = np.inf
-    names = sorted(trajs)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            _, m_ab, _ = penalty.check_equivalent_criterion(
-                trajs[names[i]], trajs[names[j]], margins, res)
-            _, m_ba, _ = penalty.check_equivalent_criterion(
-                trajs[names[j]], trajs[names[i]], margins, res)
-            m = min(m_ab, m_ba)
-            worst_pair = min(worst_pair, m)
-            if m < MARGIN_TOL:
-                failures.append(f"pair ({names[i]}, {names[j]}): "
-                                f"margin {m:.4e}")
+    rows = fleetmod.audit_rows(
+        sorted(trajs.items()), margins,
+        fleetmod.audit_resolution(margins, fleetmod.FINAL_RES_FACTOR))
+    failures += [f"pair ({a}, {b}): margin {m:.4e}" for a, b, m in rows
+                 if m < fleetmod.AUDIT_TOL]
+    worst_pair = min((m for _, _, m in rows), default=np.inf)
 
     print(f"worst containment margin: {worst_contain:.6f} m")
     if np.isfinite(worst_pair):

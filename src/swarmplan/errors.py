@@ -49,6 +49,10 @@ class ScheduleTimeout(PlanningError):
     """Temporal search budget exhausted; goal region may be permanently blocked."""
 
 
+class BlockedEndpoint(PlanningError):
+    """A committed neighbor is parked too close to the mission's endpoint."""
+
+
 class AuditFailure(PlanningError):
     """Reciprocal safety audit rejected a trajectory at commit time."""
 

@@ -1,9 +1,10 @@
 """Incremental fleet coordination, commit auditing, and robustness trials.
 
 Committed trajectories are the reference set every new mission must stay
-clear of.  Commits re-audit the candidate against the whole fleet; the
-robustness harness replays committed fleets under bounded random time
-warps and reports minimum pairwise distances.
+clear of.  Commits re-audit the candidate against the whole fleet with the
+pair kernel penalty.check_equivalent_criterion, whose docstring states the
+presence model; the robustness harness replays committed fleets under
+bounded random time warps and reports minimum pairwise distances.
 """
 
 from __future__ import annotations
@@ -45,9 +46,22 @@ class Mission:
 class FleetEntry:
     mission_id: str
     traj: object
-    bbox_lo: np.ndarray
-    bbox_hi: np.ndarray
-    t_window: tuple
+
+
+def audit_resolution(margins, factor: float) -> float:
+    """Kernel grid step: a share of M_d, or of 10 s when M_d is zero."""
+    if margins.M_d > 0.0:
+        return factor * margins.M_d
+    return factor * 10.0
+
+
+def audit_rows(named_trajs, margins, resolution: float) -> list:
+    """(id_a, id_b, margin) for every pair of (id, trajectory) items, in
+    order."""
+    named = list(named_trajs)
+    return [(ia, ib, penalty.check_equivalent_criterion(
+                ta, tb, margins, resolution)[1])
+            for k, (ia, ta) in enumerate(named) for ib, tb in named[k + 1:]]
 
 
 class FleetDb:
@@ -56,7 +70,8 @@ class FleetDb:
     Reads take a snapshot under the lock; commits re-audit the candidate
     against every committed neighbor before inserting, so the invariant
     that all committed pairs pass the reciprocal-safety audit holds after
-    any commit sequence.
+    any commit sequence.  Presence outside a flight follows the model in
+    penalty.check_equivalent_criterion.
     """
 
     def __init__(self, polymap, margins, audit_tol: float = AUDIT_TOL):
@@ -82,51 +97,27 @@ class FleetDb:
         with self._lock:
             return [e.mission_id for e in self._entries]
 
-    def _audit_resolution(self, factor: float) -> float:
-        if self.margins.M_d > 0.0:
-            return factor * self.margins.M_d
-        return factor * 10.0
-
-    def audit_pair(self, traj_a, traj_b, resolution: float) -> float:
-        """Worst reciprocal-safety margin of a pair, both orientations."""
-        _, m_ab, _ = penalty.check_equivalent_criterion(
-            traj_a, traj_b, self.margins, resolution)
-        _, m_ba, _ = penalty.check_equivalent_criterion(
-            traj_b, traj_a, self.margins, resolution)
-        return min(m_ab, m_ba)
-
     def commit(self, mission_id: str, traj) -> None:
         """Audit against every committed neighbor, then insert atomically."""
-        res = self._audit_resolution(COMMIT_RES_FACTOR)
+        res = audit_resolution(self.margins, COMMIT_RES_FACTOR)
         with self._lock:
             if any(e.mission_id == mission_id for e in self._entries):
                 raise ValueError(f"mission id {mission_id!r} already committed")
             for e in self._entries:
-                margin = self.audit_pair(traj, e.traj, res)
+                _, margin, _ = penalty.check_equivalent_criterion(
+                    traj, e.traj, self.margins, res)
                 if margin < self.audit_tol:
                     raise AuditFailure(
                         f"commit audit failed for ({mission_id}, "
                         f"{e.mission_id}): margin {margin:.4e} m",
                         pair=(mission_id, e.mission_id), margin=margin)
-            ts = np.linspace(traj.t0, traj.t_end,
-                             max(int(np.ceil(traj.total_duration / 0.05)), 32))
-            pos = traj.eval_many(ts, 0)
-            self._entries.append(FleetEntry(
-                mission_id=mission_id, traj=traj,
-                bbox_lo=pos.min(axis=0), bbox_hi=pos.max(axis=0),
-                t_window=(traj.t0, traj.t_end)))
+            self._entries.append(FleetEntry(mission_id, traj))
 
     def final_audit(self) -> list:
         """All-pairs audit at the fine resolution; returns margin rows."""
-        res = self._audit_resolution(FINAL_RES_FACTOR)
-        entries = self.entries()
-        rows = []
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                margin = self.audit_pair(entries[i].traj, entries[j].traj, res)
-                rows.append((entries[i].mission_id, entries[j].mission_id,
-                             margin))
-        return rows
+        return audit_rows(((e.mission_id, e.traj) for e in self.entries()),
+                          self.margins,
+                          audit_resolution(self.margins, FINAL_RES_FACTOR))
 
 
 def min_pairwise_distance(trajs, step: float, warps=None,

@@ -16,9 +16,11 @@ import numpy as np
 import scipy.optimize
 
 from . import geom, minco, pathfind, penalty, solver
-from .dynamics import Limits, VehicleModel, flat_batch
-from .errors import (EmptyInterior, EmptyIntersection, NotInPolytope,
-                     PostCheckFailure, ScheduleTimeout, SingularAttitude)
+from .dynamics import Limits, VehicleModel, flat_batch, limits_residual_batch
+from .errors import (BlockedEndpoint, EmptyInterior, EmptyIntersection,
+                     NotInPolytope, PostCheckFailure, ScheduleTimeout,
+                     SingularAttitude)
+from .fleet import AUDIT_TOL
 
 ACTIVE_FACE_TOL = 1e-7
 MEMBERSHIP_SLACK = 1e-9
@@ -424,30 +426,12 @@ def _grid_times(t_a, t_b, origin, dt):
     return np.unique(np.concatenate([[t_a], np.clip(ks, t_a, t_b), [t_b]]))
 
 
-class _ConflictChecker:
-    """Point-vs-window separation of curve samples against neighbors."""
-
-    def __init__(self, neighbors, margins, dt):
-        self.neighbors = list(neighbors)
-        self.margins = margins
-        if margins.M_d > 0.0:
-            n_off = int(np.ceil(4.0 * margins.M_d / dt)) + 1
-            self.offsets = np.linspace(-2.0 * margins.M_d,
-                                       2.0 * margins.M_d, n_off)
-        else:
-            self.offsets = np.array([0.0])
-        self.limit_sq = (2.0 * margins.M_r) ** 2
-
-    def ok(self, pos, times) -> bool:
-        if not self.neighbors:
-            return True
-        grid = (np.asarray(times)[:, None] + self.offsets[None, :]).ravel()
-        for nb in self.neighbors:
-            nbpos = nb.eval_many(grid, 0).reshape(len(times), -1, 3)
-            d2 = self.margins.wdist_sq(pos[:, None, :] - nbpos)
-            if float(np.min(d2)) < self.limit_sq:
-                return False
-        return True
+def _check_step(margins, v_max, share):
+    """Separation grid step: a share of M_d, or with no delay margin the
+    time to cover a tenth of 2 M_r at v_max."""
+    if margins.M_d > 0.0:
+        return share * margins.M_d
+    return 0.1 * (2.0 * margins.M_r) / max(v_max, 1e-9)
 
 
 def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
@@ -464,15 +448,19 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     """
     L = curve.length
     if dt is None:
-        dt = 0.05 * margins.M_d if margins.M_d > 0.0 else \
-            0.1 * (2.0 * margins.M_r) / max(v_max, 1e-9)
-    checker = _ConflictChecker(neighbors, margins, dt)
+        dt = _check_step(margins, v_max, 0.05)
+    offsets = penalty._closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, dt)
+    limit_sq = (2.0 * margins.M_r) ** 2
     trap = pathfind.profile_total_time(L, v_max, a_max)
 
     def edge_ok(s0, v0, t_a, phases, t_b):
+        # Curve samples against each neighbor's whole delay window.
         times = _grid_times(t_a, t_b, t_request, dt)
         s_loc, _ = _phase_eval(s0, v0, phases, times - t_a)
-        return checker.ok(curve.at(s_loc), times)
+        pos = curve.at(s_loc)
+        return not any(float(np.min(penalty._window_sq_dists(
+            pos, times, nb, offsets, margins))) < limit_sq
+            for nb in neighbors)
 
     cap = budget + 8
     arr_s = np.zeros(cap)
@@ -667,14 +655,10 @@ def post_check(traj, corridor_polys, neighbors, margins, model, limits,
         depth = np.maximum(depth, poly.depth_many(pos))
     corr_margin = float(np.min(depth))
 
-    capsule_margin = np.inf
-    if neighbors:
-        res = 0.02 * margins.M_d if margins.M_d > 0.0 else \
-            0.1 * (2.0 * margins.M_r) / max(limits.v_max, 1e-9)
-        for nb in neighbors:
-            _, m, _ = penalty.check_equivalent_criterion(traj, nb, margins,
-                                                         res)
-            capsule_margin = min(capsule_margin, m)
+    res = _check_step(margins, limits.v_max, 0.02)
+    capsule_margin = min(
+        (penalty.check_equivalent_criterion(traj, nb, margins, res)[1]
+         for nb in neighbors), default=np.inf)
 
     vel = traj.eval_many(ts, 1)
     acc = traj.eval_many(ts, 2)
@@ -686,21 +670,19 @@ def post_check(traj, corridor_polys, neighbors, margins, model, limits,
     except SingularAttitude as exc:
         raise PostCheckFailure(f"flatness map degenerates on the dense "
                                f"grid: {exc}") from exc
-    from .dynamics import limits_residual_batch
     G = limits_residual_batch(limits, flat)
     scale = np.array([limits.v_max ** 2, limits.omega_max ** 2, 1.0,
                       limits.f_r ** 2])
     limits_norm = float(np.max(G / scale))
 
     report = {"corridor_margin": corr_margin,
-              "capsule_margin": (float(capsule_margin)
-                                 if np.isfinite(capsule_margin) else np.inf),
+              "capsule_margin": capsule_margin,
               "limits_norm": limits_norm}
     problems = []
     if corr_margin < corridor_tol:
         problems.append(("corridor", corr_margin))
-    if np.isfinite(capsule_margin) and capsule_margin < capsule_tol:
-        problems.append(("capsule", float(capsule_margin)))
+    if capsule_margin < capsule_tol:
+        problems.append(("capsule", capsule_margin))
     if limits_norm > limits_tol:
         problems.append(("limits", limits_norm))
     if problems:
@@ -709,6 +691,19 @@ def post_check(traj, corridor_polys, neighbors, margins, model, limits,
                                margins=report,
                                problems=[k for k, _ in problems])
     return report
+
+
+def _check_endpoints(p_o, p_f, neighbors, margins):
+    """Raise BlockedEndpoint when the start or goal lies within 2 M_r, less
+    the audit slack, of a neighbor's: both stay parked there for ever."""
+    for k, nb in enumerate(neighbors):
+        ends = nb.eval_many(np.array([nb.t0, nb.t_end]), 0)
+        for label, p, q in (("start", p_o, ends[0]), ("goal", p_f, ends[1])):
+            d = float(margins.wdist(p - q))
+            if d < 2.0 * margins.M_r + AUDIT_TOL:
+                raise BlockedEndpoint(
+                    f"{label} {p.tolist()} lies {d:.3f} m (weighted) from "
+                    f"neighbor {k}'s {label}; 2 M_r is {2 * margins.M_r:g} m")
 
 
 def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
@@ -732,6 +727,8 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
             model.g * np.tan(limits.theta_max))
     if a_lim <= 0.0:
         raise ValueError("thrust limits leave no acceleration margin")
+    neighbors = list(neighbors)
+    _check_endpoints(p_o, p_f, neighbors, margins)
 
     path = pathfind.informed_rrt_star(polymap, p_o, p_f, rng, step=rrt_step,
                                       budget=rrt_budget,
@@ -744,7 +741,6 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
     xi0, tau0 = chart_invert(chart, q0, T0)
     boundary = (minco.BoundaryState.hover(p_o), minco.BoundaryState.hover(p_f))
     corridor_polys = corridor.polytopes(polymap)
-    neighbors = list(neighbors)
 
     # Soft penalties settle on the constraint surface, so the dense audit
     # would see hairline violations.  Optimize and schedule against bounds
@@ -825,60 +821,50 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                     options=options)
         traj = rep.traj
 
-    scheduled = False
-    skipped = True
     post = None
-    if neighbors:
-        check_res = sched_dt if sched_dt is not None else \
-            (0.05 * margins.M_d if margins.M_d > 0.0
-             else 0.1 * (2.0 * margins.M_r) / max(limits.v_max, 1e-9))
-        safe = True
-        for nb in neighbors:
-            ok, _, _ = penalty.check_equivalent_criterion(traj, nb,
-                                                          pen_margins,
-                                                          check_res)
-            if not ok:
-                safe = False
-                break
-        if not safe:
-            skipped = False
-            scheduled = True
-            curve, junction_s, _ = _arc_geometry(traj)
-            # Junction passage times can nearly coincide; a leg still needs
-            # at least the time its straight-line length demands.
-            wp = traj.waypoints()
-            legs = np.vstack([p_o, wp, p_f]) if len(wp) else \
-                np.vstack([p_o, p_f])
-            leg_floor = np.maximum(
-                np.linalg.norm(np.diff(legs, axis=0), axis=1)
-                / limits.v_max, MIN_LEG_DURATION)
-            if not run_post_check:
-                schedule_into(1.0, 0.95)
-            else:
-                # An aggressive schedule can demand more bank than the tilt
-                # limit allows; gentler kinodynamics always have the
-                # wait-until-clear fallback, so retry slower on limit debt.
-                failure = None
-                rounds = ((1.0, 0.95), (0.5, 0.8), (0.25, 0.7))
-                for j, (a_fac, v_fac) in enumerate(rounds):
-                    try:
-                        schedule_into(a_fac, v_fac)
-                        # The densest rung is expensive; if a moderate one
-                        # cannot repair the limits the schedule is too hot,
-                        # so save the full ladder for the gentlest round.
-                        post = run_ladder(3 if j == len(rounds) - 1 else 2)
-                        failure = None
-                        break
-                    except PostCheckFailure as exc:
-                        failure = exc
-                        if "limits" not in exc.problems:
-                            raise
-                    except ScheduleTimeout:
-                        if failure is None:
-                            raise
-                        break
-                if failure is not None:
-                    raise failure
+    check_res = sched_dt if sched_dt is not None else \
+        _check_step(margins, limits.v_max, 0.05)
+    scheduled = any(
+        not penalty.check_equivalent_criterion(traj, nb, pen_margins,
+                                               check_res)[0]
+        for nb in neighbors)
+    if scheduled:
+        curve, junction_s, _ = _arc_geometry(traj)
+        # Junction passage times can nearly coincide; a leg still needs
+        # at least the time its straight-line length demands.
+        wp = traj.waypoints()
+        legs = np.vstack([p_o, wp, p_f]) if len(wp) else \
+            np.vstack([p_o, p_f])
+        leg_floor = np.maximum(
+            np.linalg.norm(np.diff(legs, axis=0), axis=1)
+            / limits.v_max, MIN_LEG_DURATION)
+        if not run_post_check:
+            schedule_into(1.0, 0.95)
+        else:
+            # An aggressive schedule can demand more bank than the tilt
+            # limit allows; gentler kinodynamics always have the
+            # wait-until-clear fallback, so retry slower on limit debt.
+            failure = None
+            rounds = ((1.0, 0.95), (0.5, 0.8), (0.25, 0.7))
+            for j, (a_fac, v_fac) in enumerate(rounds):
+                try:
+                    schedule_into(a_fac, v_fac)
+                    # The densest rung is expensive; if a moderate one
+                    # cannot repair the limits the schedule is too hot,
+                    # so save the full ladder for the gentlest round.
+                    post = run_ladder(3 if j == len(rounds) - 1 else 2)
+                    failure = None
+                    break
+                except PostCheckFailure as exc:
+                    failure = exc
+                    if "limits" not in exc.problems:
+                        raise
+                except ScheduleTimeout:
+                    if failure is None:
+                        raise
+                    break
+            if failure is not None:
+                raise failure
 
     if run_post_check and post is None:
         post = run_ladder()
@@ -889,7 +875,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                            path_length=path.length,
                            corridor_ids=list(corridor.ids),
                            capsule_checked=bool(neighbors),
-                           capsule_skipped=skipped, scheduled=scheduled,
+                           capsule_skipped=not scheduled, scheduled=scheduled,
                            t_start=traj.t0, t_end=traj.t_end,
                            objective=rep.objective, parts=rep.parts,
                            solver_status=rep.status, post=post)

@@ -147,14 +147,20 @@ def _coeff_bound_boxes(traj):
     return lo.min(axis=0), hi.max(axis=0)
 
 
-def _prunable(traj, nb, margins):
-    """True when phi can be proven zero for the whole neighbor."""
+def _box_gap(traj, nb, margins):
+    """Weighted gap between the coefficient boxes: a lower bound of the
+    weighted distance at any two times, parked endpoints included."""
     lo_a, hi_a = _coeff_bound_boxes(traj)
     lo_b, hi_b = _coeff_bound_boxes(nb)
     scale = np.sqrt(margins.W_diag)
     gap = np.maximum(lo_b - hi_a, lo_a - hi_b)
     gap = np.maximum(gap, 0.0) * scale
-    return float(np.linalg.norm(gap)) > 2.0 * margins.M_r
+    return float(np.linalg.norm(gap))
+
+
+def _prunable(traj, nb, margins):
+    """True when phi can be proven zero for the whole neighbor."""
+    return _box_gap(traj, nb, margins) > 2.0 * margins.M_r
 
 
 def capsule_penalty(traj, neighbors, margins, config):
@@ -331,26 +337,52 @@ def composite(traj, config, model=None, limits=None, yaw_plan=None,
 
 
 def check_equivalent_criterion(traj_a, traj_b, margins, resolution):
-    """Reciprocal-safety check of a against b on the shared clock.
+    """Symmetric reciprocal-safety check of a pair on the shared clock.
 
-    Grid search over t in a's domain and offsets v in [-2 M_d, 2 M_d] at the
-    given resolution, then alternating golden-section polish around the worst
-    pair.  Returns (satisfied, worst margin, worst (t, gamma)).
+    Presence model: a vehicle is parked at its start before its t0 and at
+    its goal after its t_end, for ever.  The pair is safe when a(s) and b(u)
+    stay 2 M_r apart, weighted, for all s, u with |s - u| <= 2 M_d.
+
+    When the coefficient boxes are more than 2 M_r apart the box gap minus
+    2 M_r is returned, a certified lower bound, with witness (nan, nan).
+    Otherwise both orientations are swept, t over one domain and offsets
+    v in [-2 M_d, 2 M_d] at the given resolution, and the worst cell is
+    polished by alternating golden sections.  Returns (satisfied, worst
+    margin, (t_a, t_b)); the witness times produce that margin.
     """
     if resolution <= 0.0:
         raise ValueError("grid resolution must be positive")
+    gap = _box_gap(traj_a, traj_b, margins)
+    if gap > 2.0 * margins.M_r:
+        return True, gap - 2.0 * margins.M_r, (np.nan, np.nan)
+    d_ab, (t_a, t_b) = _worst_one_sided(traj_a, traj_b, margins, resolution)
+    d_ba, (u_b, u_a) = _worst_one_sided(traj_b, traj_a, margins, resolution)
+    if d_ba < d_ab:
+        d_ab, t_a, t_b = d_ba, u_a, u_b
+    margin = d_ab - 2.0 * margins.M_r
+    return margin >= 0.0, margin, (t_a, t_b)
+
+
+def _window_sq_dists(pos, times, nb, offsets, margins):
+    """Squared weighted distances from pos[k], held at times[k], to the
+    neighbor at times[k] + offsets[j]; shape (len(times), len(offsets))."""
+    grid = (np.asarray(times)[:, None] + offsets[None, :]).ravel()
+    nb_pos = nb.eval_many(grid, 0).reshape(len(times), -1, 3)
+    return margins.wdist_sq(pos[:, None, :] - nb_pos)
+
+
+def _worst_one_sided(traj_a, traj_b, margins, resolution):
+    """Worst weighted distance of a(t) to b(t + v), t in a's domain, and
+    its witness (t, t + v)."""
     t_grid = _closed_grid(traj_a.t0, traj_a.t_end, resolution)
-    if margins.M_d > 0.0:
-        v_grid = _closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, resolution)
-    else:
-        v_grid = np.array([0.0])
-    pos_a = traj_a.eval_many(t_grid, 0)
-    grid = t_grid[:, None] + v_grid[None, :]
-    pos_b = traj_b.eval_many(grid.ravel(), 0).reshape(len(t_grid), -1, 3)
-    d2 = margins.wdist_sq(pos_a[:, None, :] - pos_b)
+    # With M_d = 0 the window is the single offset 0.
+    v_grid = _closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, resolution)
+    d2 = _window_sq_dists(traj_a.eval_many(t_grid, 0), t_grid, traj_b,
+                          v_grid, margins)
     k = int(np.argmin(d2))
     ti, vi = divmod(k, len(v_grid))
     t_best, v_best = t_grid[ti], v_grid[vi]
+    on_grid = (float(np.sqrt(d2.flat[k])), t_best, v_best)
 
     def dist(t, v):
         da = traj_a.eval_many(np.array([t]), 0)[0]
@@ -366,9 +398,8 @@ def check_equivalent_criterion(traj_a, traj_b, margins, resolution):
             v_best = _golden(lambda v: dist(t_best, v),
                              max(lo_v, v_best - resolution),
                              min(hi_v, v_best + resolution))
-    worst = min(dist(t_best, v_best), float(np.sqrt(d2.flat[k])))
-    margin = worst - 2.0 * margins.M_r
-    return margin >= 0.0, margin, (float(t_best), float(t_best + v_best))
+    worst, t, v = min((dist(t_best, v_best), t_best, v_best), on_grid)
+    return worst, (float(t), float(t + v))
 
 
 def _closed_grid(lo, hi, step):

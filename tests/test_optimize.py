@@ -1,14 +1,18 @@
 """Chart parameterization, penalized solve, scheduling, and the mission
 pipeline."""
 
+import json
+import time
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_trajectory
 
-from swarmplan import fleet, minco, optimize, pathfind, penalty
+from swarmplan import cli, fleet, io, minco, optimize, pathfind, penalty
 from swarmplan.errors import (
+    BlockedEndpoint,
     NotInPolytope,
     PostCheckFailure,
     ScheduleTimeout,
@@ -299,6 +303,23 @@ class TestPostCheck:
         assert "capsule" in info.value.problems
 
 
+class TestBlockedEndpoint:
+    def test_parked_neighbor_rejects_fast(self, box_map, model, limits,
+                                          margins, pconfig):
+        # A neighbor flies 44 m west along y = 30 at z = 15; the request flies
+        # the same way 4 m north and 5 m lower, so its start and its goal
+        # each lie 5.34 m (weighted) from the neighbor's, under 2 M_r = 10 m.
+        nb = _transit_traj([52, 30, 15], [8, 30, 15], 0.0, 10.0)
+        mission = fleet.Mission(id="m5", p_o=[52, 34, 10], p_f=[8, 34, 10],
+                                t_o=0.0)
+        t0 = time.perf_counter()
+        with pytest.raises(BlockedEndpoint, match=r"5\.339 m .*neighbor 0"):
+            plan_mission(box_map, mission, [nb], model=model, limits=limits,
+                         margins=margins, pconfig=pconfig,
+                         rng=np.random.default_rng(0))
+        assert time.perf_counter() - t0 < 1.0
+
+
 class TestPlanMission:
     @pytest.fixture(scope="class")
     def planned(self, box_map, model, limits, margins, pconfig):
@@ -368,3 +389,26 @@ class TestPlanMission:
         assert rep_c.capsule_skipped
         assert not rep_c.scheduled
         assert traj_c.t0 == 200.0
+
+    def test_cli_check_exit_codes(self, planned, box_map, margins, tmp_path):
+        _, (traj_a, _), (traj_b, _) = planned
+        polymap = str(tmp_path / "polymap.json")
+        io.save_polymap(polymap, box_map)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"margins": {
+            "M_r": margins.M_r, "M_d": margins.M_d, "w": margins.w}}))
+        # a's route flown backwards over the same interval.
+        reverse = _transit_traj([50, 30, 15], [10, 30, 15], traj_a.t0, 10.0)
+        paths = {}
+        for name, traj in (("a", traj_a), ("b", traj_b), ("rev", reverse)):
+            paths[name] = str(tmp_path / f"traj_{name}.json")
+            io.save_trajectory(paths[name], traj)
+
+        def check(*files):
+            return cli.main(["check", "--config", str(config),
+                             "--out", str(tmp_path), "--polymap", polymap,
+                             *files])
+
+        assert check(paths["a"], paths["b"]) == cli.EXIT_OK
+        assert check(paths["a"], paths["rev"]) == cli.EXIT_AUDIT
+        assert check(str(tmp_path / "missing.json")) == cli.EXIT_USAGE

@@ -22,6 +22,15 @@ from swarmplan.penalty import (
 MU = 1e-2
 
 
+def _shifted(traj, offset):
+    """The same spline with every position moved by offset."""
+    b0, b1 = traj.boundary
+    return minco.construct(
+        traj.t0, traj.T, traj.waypoints() + offset,
+        minco.BoundaryState(b0.pos + offset, b0.vel, b0.acc),
+        minco.BoundaryState(b1.pos + offset, b1.vel, b1.acc))
+
+
 class TestPhi:
     def test_piecewise_regions(self):
         assert phi(MU, -1.0) == (0.0, 0.0)
@@ -182,12 +191,7 @@ class TestCapsulePenalty:
         rng = np.random.default_rng(5)
         traj = random_trajectory(rng, n_pieces=2, box=10.0, t0=0.0)
         far = random_trajectory(rng, n_pieces=2, box=10.0, t0=0.0)
-        shifted = minco.construct(
-            far.t0, far.T, far.waypoints() + 500.0,
-            minco.BoundaryState(far.boundary[0].pos + 500.0,
-                                far.boundary[0].vel, far.boundary[0].acc),
-            minco.BoundaryState(far.boundary[1].pos + 500.0,
-                                far.boundary[1].vel, far.boundary[1].acc))
+        shifted = _shifted(far, 500.0)
         assert penalty._prunable(traj, shifted, margins)
         val, bundle = penalty.capsule_penalty(traj, [shifted], margins, pconfig)
         assert val == 0.0 and not bundle.d_coeffs.any()
@@ -380,6 +384,13 @@ class TestEquivalentCriterion:
                                   np.zeros(3), np.zeros(3))
         return minco.construct(t0, [2.0, 2.0, 2.0], wp, start, end)
 
+    @staticmethod
+    def _witness_margin(a, b, margins, witness):
+        """Weighted distance minus 2 M_r at the witness times."""
+        ta, tb = witness
+        return float(margins.wdist(a.eval(ta, 0) - b.eval(tb, 0))
+                     - 2.0 * margins.M_r)
+
     def test_separated_lines_pass(self, margins):
         a = self._line(0.0)
         b = self._line(20.0)
@@ -392,6 +403,20 @@ class TestEquivalentCriterion:
         ok, margin, (ta, tb) = check_equivalent_criterion(a, b, margins, 0.1)
         assert not ok and margin < -5.0
         assert a.t0 <= ta <= a.t_end
+        assert self._witness_margin(a, b, margins, (ta, tb)) == \
+            pytest.approx(margin, abs=1e-9)
+        assert check_equivalent_criterion(b, a, margins, 0.1)[1] == margin
+
+    def test_far_pair_pruned(self, margins):
+        rng = np.random.default_rng(5)
+        a = random_trajectory(rng, n_pieces=2, box=10.0, t0=0.0)
+        b = _shifted(random_trajectory(rng, n_pieces=2, box=10.0, t0=0.0),
+                     500.0)
+        assert penalty._prunable(a, b, margins)
+        ok, margin, _ = check_equivalent_criterion(a, b, margins, 0.1)
+        assert ok and 0.0 < margin < np.inf
+        assert margin <= oracles.brute_pair_margin(a, b, margins, 0.1)
+        assert check_equivalent_criterion(b, a, margins, 0.1)[1] == margin
 
     def test_bad_resolution(self, margins):
         a = self._line(0.0)
@@ -411,10 +436,14 @@ class TestEquivalentCriterion:
             brute = oracles.brute_pair_margin(a, b, margins, res)
             if abs(brute) < 0.3:
                 continue    # hairline case, grid-phase sensitive
-            ok_ab, m_ab, _ = check_equivalent_criterion(a, b, margins, res)
+            ok_ab, m_ab, w_ab = check_equivalent_criterion(a, b, margins, res)
             ok_ba, m_ba, _ = check_equivalent_criterion(b, a, margins, res)
             ok = ok_ab and ok_ba
             m = min(m_ab, m_ba)
+            assert m_ab == m_ba
+            if not penalty._prunable(a, b, margins):
+                assert self._witness_margin(a, b, margins, w_ab) == \
+                    pytest.approx(m_ab, abs=1e-9)
             assert ok == (brute >= 0.0), (
                 f"verdict mismatch: package {m}, brute {brute}")
             # The polish step digs deeper than the polish-free sweep, so the
