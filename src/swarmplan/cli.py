@@ -141,14 +141,16 @@ def cmd_fleet(args) -> int:
             entry.update(status=fleetmod.COMMITTED, file=fname,
                          t_start=traj.t0, t_end=traj.t_end,
                          objective=report.objective,
-                         scheduled=report.scheduled, post=post)
+                         scheduled=report.scheduled, post=post,
+                         attempts=report.attempts)
             print(f"mission {mission.id}: committed "
                   f"[{traj.t0:.2f}, {traj.t_end:.2f}] s"
                   + (" (rescheduled)" if report.scheduled else ""))
         except PlanningError as exc:
             mission.status = fleetmod.FAILED
             entry.update(status=fleetmod.FAILED,
-                         error=f"{type(exc).__name__}: {exc}")
+                         error=f"{type(exc).__name__}: {exc}",
+                         attempts=list(exc.attempts))
             print(f"mission {mission.id}: failed ({type(exc).__name__})")
         log.append(entry)
 

@@ -9,7 +9,6 @@ fall back to defaults.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -81,7 +80,7 @@ class SearchSection:
     informed_budget: int = 5000
     sched_budget: int = 20000
     sched_dt: float = 0.0      # 0 selects the margin-derived default
-    a_max: float = 0.0         # 0 selects (f_max / m) - g
+    a_max: float = 0.0         # 0 selects Limits.accel_cap
 
 
 @dataclass
@@ -125,8 +124,7 @@ class RunConfig:
     def a_max(self) -> float:
         if self.search.a_max > 0.0:
             return self.search.a_max
-        return min(self.limits.f_max / self.vehicle.m - self.vehicle.g,
-                   self.vehicle.g * math.tan(self.limits.theta_max))
+        return self.limit_set().accel_cap(self.vehicle_model())
 
     def validate(self) -> "RunConfig":
         v, ls, ms, p = self.vehicle, self.limits, self.margins, self.penalty

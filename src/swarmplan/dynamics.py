@@ -68,6 +68,12 @@ class Limits:
         if self.f_min <= bound:
             raise ValueError("f_min violates the drag singularity guard")
 
+    def accel_cap(self, model) -> float:
+        """Acceleration a schedule may demand: spare thrust over gravity,
+        and for horizontal flight the tilt limit, whichever is smaller."""
+        return min(self.f_max / model.m - model.g,
+                   model.g * np.tan(self.theta_max))
+
     def tightened(self, frac: float) -> "Limits":
         """Copy with every bound pulled in by `frac` of its residual scale.
 

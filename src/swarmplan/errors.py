@@ -4,6 +4,9 @@
 class PlanningError(Exception):
     """Base class for recoverable planning failures."""
 
+    # optimize.plan_mission's attempt records, when its retry loop raised.
+    attempts = ()
+
 
 class SeedOccupied(PlanningError):
     """Polytope seed collides with the obstacle set."""

@@ -25,7 +25,8 @@ FLOAT_FMT = "%.17g"
 def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError("non-finite value in serialized output")
-    return FLOAT_FMT % float(x)
+    # "%.17g" prints -0.0 as "-0", which reads back as the integer 0.
+    return FLOAT_FMT % float(x) if x or not np.signbit(x) else "-0.0"
 
 
 def _emit(obj, out) -> None:

@@ -10,13 +10,13 @@ resolves conflicts that the spatial optimizer cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 
 from . import geom, minco, pathfind, penalty, solver
-from .dynamics import Limits, VehicleModel, flat_batch, limits_residual_batch
+from .dynamics import flat_batch, limits_residual_batch
 from .errors import (BlockedEndpoint, EmptyInterior, EmptyIntersection,
                      NotInPolytope, PostCheckFailure, ScheduleTimeout,
                      SingularAttitude)
@@ -25,8 +25,39 @@ from .fleet import AUDIT_TOL
 ACTIVE_FACE_TOL = 1e-7
 MEMBERSHIP_SLACK = 1e-9
 PROJECTION_TOL = 1e-2
-MIN_LEG_DURATION = 1e-2
-PEN_BUFFER = 5e-3
+
+# Soft penalties settle on the constraint surface, where the dense audit
+# would see hairline violations: plan_mission optimizes and schedules
+# against bounds pulled in a little and audits against the real ones.
+PEN_BUFFER = 5e-3        # m each corridor face moves inward
+PEN_LIMITS_FRAC = 5e-3   # share of each limit's residual scale given up
+PEN_M_R_PAD = 0.05       # m added to M_r, or if more, this share of it,
+PEN_M_R_SHARE = 0.02     # so that the padding grows with the margin
+SCHED_CLEARANCE = 0.5    # m more M_r to schedule with: the joint solve
+                         # strays a second or two from the schedule
+
+# The retry policy of plan_mission, run in the order of ATTEMPTS until a
+# post_check passes.  A rung is (quadrature factor, stretch): rung 0 audits
+# the last solve; a later rung solves again from it with penalty quadrature
+# and max_iter times the factor and 2 mu rounds, to see violation spikes
+# that slip between nodes.  A round is (a_max factor, v_max factor) for
+# re-timing a scheduled mission before its rungs: gentler schedules demand
+# less bank from the tilt limit.
+RUNGS = ((1, 1.0), (2, 1.0), (4, 1.15))
+ROUNDS = ((1.0, 0.95), (0.5, 0.8), (0.25, 0.7))
+# (round, rung) pairs; an unscheduled mission has no round.  A scheduled
+# round tries 2 rungs and the last round 3: the densest rung is costly, and
+# a schedule that a moderate rung cannot repair is too hot.
+ATTEMPTS = {False: ((None, 0), (None, 1), (None, 2)),
+            True: ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))}
+# The loop's other rules:
+#   - the stretch applies only after a limits failure;
+#   - a capsule failure adds 0.5 depth + 0.05 m to the penalized M_r, capped
+#     at 0.5 M_r and reset each round: the audit grid is finer than the
+#     penalty's, so densifying alone may never see the dip;
+#   - a round that ends without limits among its problems re-raises;
+#   - ScheduleTimeout in round 0 propagates; in a later round it re-raises
+#     the previous PostCheckFailure.
 
 
 class CoordinateChart:
@@ -617,7 +648,7 @@ def _arc_geometry(traj: minco.MincoTrajectory, samples_per_piece: int = 64):
     legs = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(legs)])
     junction_s = cum[np.arange(1, traj.n_pieces) * samples_per_piece]
-    return pathfind.Path(pts), junction_s, float(cum[-1])
+    return pathfind.Path(pts), junction_s
 
 
 @dataclass
@@ -626,15 +657,14 @@ class MissionReport:
     status: str
     path_length: float
     corridor_ids: list
-    capsule_checked: bool
-    capsule_skipped: bool
     scheduled: bool
     t_start: float
     t_end: float
     objective: float
     parts: dict
     solver_status: str
-    post: dict = field(default_factory=dict)
+    post: dict
+    attempts: list   # plan_mission's attempt records, the last one passed
 
 
 def post_check(traj, corridor_polys, neighbors, margins, model, limits,
@@ -711,20 +741,20 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                  yaw_plan=None, a_max: float | None = None,
                  rrt_step: float = 5.0, rrt_budget: int = 20000,
                  informed_budget: int = 5000, sched_budget: int = 20000,
-                 sched_dt: float | None = None, run_post_check: bool = True):
+                 sched_dt: float | None = None):
     """Full single-mission pipeline against a set of committed neighbors.
 
     Search, corridor, refined waypoints, trapezoidal durations, spatial
-    solve, conflict check, optional temporal scheduling plus a joint solve
-    with the capsule penalty, and a dense post-check.
+    solve and conflict check.  A conflicting mission is scheduled: each
+    round re-times it and solves jointly with the capsule penalty.  Rungs
+    re-solve until the dense post_check passes, as ATTEMPTS lays out.  The
+    report's attempts, like the .attempts of a PlanningError the loop
+    raises, hold one {"round", "quadrature", "outcome"} per attempt, with
+    outcome "passed", the sorted problem names or the exception's name.
     """
     p_o = np.asarray(mission.p_o, dtype=float)
     p_f = np.asarray(mission.p_f, dtype=float)
-    # Schedules must be flyable by the full constraint set: horizontal
-    # acceleration is capped by the tilt limit, not just by spare thrust.
-    a_lim = a_max if a_max is not None else \
-        min(limits.f_max / model.m - model.g,
-            model.g * np.tan(limits.theta_max))
+    a_lim = a_max if a_max is not None else limits.accel_cap(model)
     if a_lim <= 0.0:
         raise ValueError("thrust limits leave no acceleration margin")
     neighbors = list(neighbors)
@@ -741,142 +771,100 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
     xi0, tau0 = chart_invert(chart, q0, T0)
     boundary = (minco.BoundaryState.hover(p_o), minco.BoundaryState.hover(p_f))
     corridor_polys = corridor.polytopes(polymap)
-
-    # Soft penalties settle on the constraint surface, so the dense audit
-    # would see hairline violations.  Optimize and schedule against bounds
-    # pulled in by a small buffer; audit against the real ones.
     pen_polys = [geom.HalfspacePolytope(p.normals, p.offsets - PEN_BUFFER)
                  for p in corridor_polys]
-    pen_limits = limits.tightened(5e-3)
+    pen_limits = limits.tightened(PEN_LIMITS_FRAC)
     pen_margins = replace(margins, M_r=margins.M_r
-                          + max(0.05, 0.02 * margins.M_r))
-    # The joint solve deviates from the scheduled timing by a second or
-    # two; schedule with extra clearance so that deviation cannot put the
-    # vehicle back into a neighbor's window.
-    sched_margins = replace(pen_margins, M_r=pen_margins.M_r + 0.5)
-    if options is None:
-        options = SolveOptions()
+                          + max(PEN_M_R_PAD, PEN_M_R_SHARE * margins.M_r))
+    sched_margins = replace(pen_margins, M_r=pen_margins.M_r + SCHED_CLEARANCE)
+    options = options or SolveOptions()
+    pen = dict(model=model, limits=pen_limits, corridor_polys=pen_polys,
+               yaw_plan=yaw_plan)
 
     rep = solve(chart, mission.t_o, boundary, xi0, tau0, pconfig=pconfig,
-                model=model, limits=pen_limits, margins=pen_margins,
-                corridor_polys=pen_polys, neighbors=(),
-                yaw_plan=yaw_plan, options=options)
-    traj = rep.traj
+                margins=pen_margins, neighbors=(), options=options, **pen)
     first_xi = rep.xi
-
-    def run_ladder(n_rungs=3):
-        # Violation spikes can slip between quadrature nodes, especially on
-        # long wait legs.  Retry with densified quadrature so the penalty
-        # sees them, stretching durations too when limits are the problem.
-        # A capsule slip also thickens the penalized bound by the observed
-        # depth: the audit grid is much finer than the penalty's window
-        # quadrature, so densification alone may never see the dip.
-        nonlocal rep, traj
-        ladder = ((1, 1.0), (2, 1.0), (4, 1.15))[:n_rungs]
-        last_problems: set = set()
-        bump = 0.0
-        for k, (qf, stretch) in enumerate(ladder):
-            if k:
-                pc = replace(pconfig, n_q=pconfig.n_q * qf,
-                             n_t=pconfig.n_t * qf, n_v=pconfig.n_v * qf)
-                oc = replace(options, max_iter=2 * k * options.max_iter,
-                             mu_rounds=2)
-                tau = rep.tau
-                if "limits" in last_problems and stretch > 1.0:
-                    tau = tau + np.log(stretch)
-                pm = replace(pen_margins, M_r=pen_margins.M_r + bump) \
-                    if bump > 0.0 else pen_margins
-                rep = solve(chart, traj.t0, boundary, rep.xi, tau,
-                            pconfig=pc, model=model, limits=pen_limits,
-                            margins=pm, corridor_polys=pen_polys,
-                            neighbors=neighbors, yaw_plan=yaw_plan,
-                            options=oc)
-                traj = rep.traj
-            try:
-                return post_check(traj, corridor_polys, neighbors, margins,
-                                  model, limits, yaw_plan)
-            except PostCheckFailure as exc:
-                last_problems = set(exc.problems)
-                if "capsule" in last_problems:
-                    v = -float(exc.margins.get("capsule_margin", 0.0))
-                    bump = min(bump + 0.5 * max(v, 0.0) + 0.05,
-                               0.5 * margins.M_r)
-                if k == len(ladder) - 1:
-                    raise
-
-    def schedule_into(a_fac, v_fac):
-        nonlocal rep, traj
-        profile = temporal_schedule(curve, neighbors, sched_margins,
-                                    v_fac * limits.v_max, a_fac * a_lim,
-                                    t_request=mission.t_o, rng=rng,
-                                    budget=sched_budget, dt=check_res)
-        t_marks = [profile.departure]
-        t_marks += [profile.time_at(sj) for sj in junction_s]
-        t_marks.append(profile.arrival)
-        T1 = np.maximum(np.diff(np.asarray(t_marks)), leg_floor)
-        rep = solve(chart, t_marks[0], boundary, first_xi, np.log(T1),
-                    pconfig=pconfig, model=model, limits=pen_limits,
-                    margins=pen_margins, corridor_polys=pen_polys,
-                    neighbors=neighbors, yaw_plan=yaw_plan,
-                    options=options)
-        traj = rep.traj
-
-    post = None
     check_res = sched_dt if sched_dt is not None else \
         _check_step(margins, limits.v_max, 0.05)
     scheduled = any(
-        not penalty.check_equivalent_criterion(traj, nb, pen_margins,
+        not penalty.check_equivalent_criterion(rep.traj, nb, pen_margins,
                                                check_res)[0]
         for nb in neighbors)
     if scheduled:
-        curve, junction_s, _ = _arc_geometry(traj)
+        curve, junction_s = _arc_geometry(rep.traj)
         # Junction passage times can nearly coincide; a leg still needs
         # at least the time its straight-line length demands.
-        wp = traj.waypoints()
+        wp = rep.traj.waypoints()
         legs = np.vstack([p_o, wp, p_f]) if len(wp) else \
             np.vstack([p_o, p_f])
         leg_floor = np.maximum(
             np.linalg.norm(np.diff(legs, axis=0), axis=1)
-            / limits.v_max, MIN_LEG_DURATION)
-        if not run_post_check:
-            schedule_into(1.0, 0.95)
-        else:
-            # An aggressive schedule can demand more bank than the tilt
-            # limit allows; gentler kinodynamics always have the
-            # wait-until-clear fallback, so retry slower on limit debt.
-            failure = None
-            rounds = ((1.0, 0.95), (0.5, 0.8), (0.25, 0.7))
-            for j, (a_fac, v_fac) in enumerate(rounds):
-                try:
-                    schedule_into(a_fac, v_fac)
-                    # The densest rung is expensive; if a moderate one
-                    # cannot repair the limits the schedule is too hot,
-                    # so save the full ladder for the gentlest round.
-                    post = run_ladder(3 if j == len(rounds) - 1 else 2)
-                    failure = None
-                    break
-                except PostCheckFailure as exc:
-                    failure = exc
-                    if "limits" not in exc.problems:
-                        raise
-                except ScheduleTimeout:
-                    if failure is None:
-                        raise
-                    break
-            if failure is not None:
-                raise failure
+            / limits.v_max, pathfind.MIN_LEG_DURATION)
 
-    if run_post_check and post is None:
-        post = run_ladder()
-    if post is None:
-        post = {}
+    attempts, failure = [], None
+    for rnd, k in ATTEMPTS[scheduled]:
+        qf, stretch = RUNGS[k]
+        if k == 0:
+            if failure is not None and "limits" not in failure.problems:
+                raise failure
+            bump = 0.0
+        record = {"round": rnd, "quadrature": qf}
+        attempts.append(record)
+        try:
+            if k:
+                tau = rep.tau
+                if stretch > 1.0 and "limits" in failure.problems:
+                    tau = tau + np.log(stretch)
+                rep = solve(chart, rep.traj.t0, boundary, rep.xi, tau,
+                            pconfig=replace(pconfig, n_q=pconfig.n_q * qf,
+                                            n_t=pconfig.n_t * qf,
+                                            n_v=pconfig.n_v * qf),
+                            margins=replace(pen_margins,
+                                            M_r=pen_margins.M_r + bump),
+                            neighbors=neighbors,
+                            options=replace(options,
+                                            max_iter=qf * options.max_iter,
+                                            mu_rounds=2), **pen)
+            elif rnd is not None:
+                a_fac, v_fac = ROUNDS[rnd]
+                profile = temporal_schedule(
+                    curve, neighbors, sched_margins, v_fac * limits.v_max,
+                    a_fac * a_lim, t_request=mission.t_o, rng=rng,
+                    budget=sched_budget, dt=check_res)
+                t_marks = [profile.departure]
+                t_marks += [profile.time_at(sj) for sj in junction_s]
+                t_marks.append(profile.arrival)
+                T1 = np.maximum(np.diff(np.asarray(t_marks)), leg_floor)
+                rep = solve(chart, t_marks[0], boundary, first_xi,
+                            np.log(T1), pconfig=pconfig, margins=pen_margins,
+                            neighbors=neighbors, options=options, **pen)
+            post = post_check(rep.traj, corridor_polys, neighbors, margins,
+                              model, limits, yaw_plan)
+        except PostCheckFailure as exc:
+            record["outcome"] = sorted(exc.problems)
+            failure = exc
+            exc.attempts = attempts
+            if "capsule" in exc.problems:
+                depth = -float(exc.margins.get("capsule_margin", 0.0))
+                bump = min(bump + 0.5 * max(depth, 0.0) + 0.05,
+                           0.5 * margins.M_r)
+            continue
+        except ScheduleTimeout as exc:
+            record["outcome"] = type(exc).__name__
+            exc.attempts = attempts
+            if failure is None:
+                raise
+            raise failure
+        record["outcome"] = "passed"
+        break
+    else:
+        raise failure
 
     report = MissionReport(mission_id=str(mission.id), status="planned",
                            path_length=path.length,
                            corridor_ids=list(corridor.ids),
-                           capsule_checked=bool(neighbors),
-                           capsule_skipped=not scheduled, scheduled=scheduled,
-                           t_start=traj.t0, t_end=traj.t_end,
-                           objective=rep.objective, parts=rep.parts,
-                           solver_status=rep.status, post=post)
-    return traj, report
+                           scheduled=scheduled, t_start=rep.traj.t0,
+                           t_end=rep.traj.t_end, objective=rep.objective,
+                           parts=rep.parts, solver_status=rep.status,
+                           post=post, attempts=attempts)
+    return rep.traj, report

@@ -320,6 +320,62 @@ class TestBlockedEndpoint:
         assert time.perf_counter() - t0 < 1.0
 
 
+PASSED = {"corridor_margin": 1.0, "capsule_margin": 1.0, "limits_norm": -1.0}
+
+
+def _force_post_failures(monkeypatch, problems, timeout_on=None):
+    """Make optimize.post_check fail once per entry of problems, with that
+    entry as the problem names and a 0.2 m capsule dip, then pass with
+    PASSED.  solve and temporal_schedule still run, wrapped to log what
+    plan_mission hands them; temporal_schedule raises ScheduleTimeout on its
+    timeout_on-th call instead."""
+    log = {"solve": [], "schedule": [], "raised": []}
+    todo = list(problems)
+    real_solve, real_schedule = optimize.solve, optimize.temporal_schedule
+
+    def post_check(*args, **kwargs):
+        if not todo:
+            return dict(PASSED)
+        exc = PostCheckFailure("forced", problems=todo.pop(0),
+                               margins={"capsule_margin": -0.2})
+        log["raised"].append(exc)
+        raise exc
+
+    def solve(chart, t0, boundary, xi0, tau0, **kw):
+        rep = real_solve(chart, t0, boundary, xi0, tau0, **kw)
+        log["solve"].append(dict(
+            n_q=kw["pconfig"].n_q, max_iter=kw["options"].max_iter,
+            mu_rounds=kw["options"].mu_rounds, M_r=kw["margins"].M_r,
+            tau0=np.array(tau0), tau=np.array(rep.tau)))
+        return rep
+
+    def temporal_schedule(curve, neighbors, margins, v_max, a_max, *args,
+                          **kw):
+        log["schedule"].append((v_max, a_max))
+        if len(log["schedule"]) == timeout_on:
+            raise ScheduleTimeout("forced")
+        return real_schedule(curve, neighbors, margins, v_max, a_max, *args,
+                             **kw)
+
+    monkeypatch.setattr(optimize, "post_check", post_check)
+    monkeypatch.setattr(optimize, "solve", solve)
+    monkeypatch.setattr(optimize, "temporal_schedule", temporal_schedule)
+    return log
+
+
+def _solve_budgets(log):
+    return [(s["n_q"], s["max_iter"], s["mu_rounds"]) for s in log["solve"]]
+
+
+def _rounds(report):
+    return {a["round"] for a in report.attempts}
+
+
+# (n_q, max_iter, mu_rounds) of the spatial solve and of quadrature rungs
+# 1 and 2 at the default PenaltyConfig and SolveOptions.
+BASE, RUNG1, RUNG2 = (16, 500, 1), (32, 1000, 2), (64, 2000, 2)
+
+
 class TestPlanMission:
     @pytest.fixture(scope="class")
     def planned(self, box_map, model, limits, margins, pconfig):
@@ -346,9 +402,9 @@ class TestPlanMission:
     def test_first_mission_unscheduled(self, planned):
         _, (traj_a, rep_a), _ = planned
         assert rep_a.status == "planned"
-        assert not rep_a.capsule_checked
-        assert rep_a.capsule_skipped
         assert not rep_a.scheduled
+        assert _rounds(rep_a) == {None}
+        assert rep_a.attempts[-1]["outcome"] == "passed"
         assert rep_a.t_start == 0.0
         assert rep_a.post["corridor_margin"] > -1e-3
         assert rep_a.post["limits_norm"] <= 1e-3
@@ -359,9 +415,9 @@ class TestPlanMission:
 
     def test_crossing_mission_schedules(self, planned, margins):
         _, (traj_a, _), (traj_b, rep_b) = planned
-        assert rep_b.capsule_checked
-        assert not rep_b.capsule_skipped
         assert rep_b.scheduled
+        assert rep_b.attempts[0]["round"] == 0
+        assert rep_b.attempts[-1]["outcome"] == "passed"
         assert rep_b.post["capsule_margin"] >= -1e-3
         # The pair satisfies the reciprocal-safety audit at fine resolution.
         worst = oracles.brute_pair_margin(traj_a, traj_b, margins,
@@ -385,9 +441,8 @@ class TestPlanMission:
                                      model=model, limits=limits,
                                      margins=margins, pconfig=pconfig,
                                      rng=rng)
-        assert rep_c.capsule_checked
-        assert rep_c.capsule_skipped
         assert not rep_c.scheduled
+        assert _rounds(rep_c) == {None}
         assert traj_c.t0 == 200.0
 
     def test_cli_check_exit_codes(self, planned, box_map, margins, tmp_path):
@@ -412,3 +467,161 @@ class TestPlanMission:
         assert check(paths["a"], paths["b"]) == cli.EXIT_OK
         assert check(paths["a"], paths["rev"]) == cli.EXIT_AUDIT
         assert check(str(tmp_path / "missing.json")) == cli.EXIT_USAGE
+
+    def test_cli_fleet_records_attempts(self, box_map, margins, tmp_path):
+        polymap = str(tmp_path / "polymap.json")
+        io.save_polymap(polymap, box_map)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"margins": {
+            "M_r": margins.M_r, "M_d": margins.M_d, "w": margins.w}}))
+        # "twin" starts where "a" starts, so it is rejected before planning.
+        missions = tmp_path / "missions.csv"
+        missions.write_text("id,t_o,ox,oy,oz,fx,fy,fz\n"
+                            "a,0,10,30,15,50,30,15\n"
+                            "twin,0,10,30,15,30,50,15\n")
+        assert cli.main(["fleet", "--config", str(config), "--out",
+                         str(tmp_path), "--polymap", polymap, "--missions",
+                         str(missions)]) == cli.EXIT_OK
+        a, twin = json.loads((tmp_path / "fleet.json").read_text())[
+            "missions"]
+        assert a["status"] == fleet.COMMITTED
+        assert {t["round"] for t in a["attempts"]} == {None}
+        assert a["attempts"][-1]["outcome"] == "passed"
+        assert twin["status"] == fleet.FAILED
+        assert twin["error"].startswith("BlockedEndpoint")
+        assert twin["attempts"] == []
+
+    def test_attempt_records(self, box_map, model, limits, margins, pconfig,
+                             monkeypatch):
+        _force_post_failures(monkeypatch, [("capsule",), ("limits",)])
+        m_a = fleet.Mission(id="a", p_o=[10, 30, 15], p_f=[50, 30, 15],
+                            t_o=0.0)
+        kw = dict(model=model, limits=limits, margins=margins,
+                  pconfig=pconfig)
+        _, rep = plan_mission(box_map, m_a, [], rng=np.random.default_rng(40),
+                              **kw)
+        assert rep.attempts == [
+            {"round": None, "quadrature": 1, "outcome": ["capsule"]},
+            {"round": None, "quadrature": 2, "outcome": ["limits"]},
+            {"round": None, "quadrature": 4, "outcome": "passed"}]
+        _force_post_failures(monkeypatch, [("capsule", "limits")] * 3)
+        with pytest.raises(PostCheckFailure) as info:
+            plan_mission(box_map, m_a, [], rng=np.random.default_rng(40),
+                         **kw)
+        assert [a["outcome"] for a in info.value.attempts] == [
+            ["capsule", "limits"]] * 3
+
+    def test_schedule_timeout_in_round_0_propagates(
+            self, box_map, planned, model, limits, margins, pconfig,
+            monkeypatch):
+        log = _force_post_failures(monkeypatch, [], timeout_on=1)
+        with pytest.raises(ScheduleTimeout) as info:
+            self._plan_b(box_map, planned, model, limits, margins, pconfig)
+        assert log["raised"] == [] and len(log["solve"]) == 1
+        assert info.value.attempts == [
+            {"round": 0, "quadrature": 1, "outcome": "ScheduleTimeout"}]
+
+    def test_spatial_retries(self, box_map, model, limits, margins, pconfig,
+                             monkeypatch):
+        # A capsule dip of 0.2 m thickens the penalized M_r (5.1) by
+        # 0.5 * 0.2 + 0.05; a limits failure then stretches the durations.
+        log = _force_post_failures(monkeypatch, [("capsule",), ("limits",)])
+        m_a = fleet.Mission(id="a", p_o=[10, 30, 15], p_f=[50, 30, 15],
+                            t_o=0.0)
+        _, rep = plan_mission(box_map, m_a, [], model=model, limits=limits,
+                              margins=margins, pconfig=pconfig,
+                              rng=np.random.default_rng(40))
+        assert not rep.scheduled
+        assert rep.post == PASSED
+        assert log["schedule"] == []
+        assert _solve_budgets(log) == [BASE, RUNG1, RUNG2]
+        assert [s["M_r"] for s in log["solve"]] == pytest.approx(
+            [5.1, 5.25, 5.25])
+        first, rung1, rung2 = log["solve"]
+        assert np.array_equal(rung1["tau0"], first["tau"])
+        assert np.array_equal(rung2["tau0"], rung1["tau"] + np.log(1.15))
+
+    def test_capsule_retries_thicken_without_stretch(
+            self, box_map, model, limits, margins, pconfig, monkeypatch):
+        log = _force_post_failures(monkeypatch, [("capsule",)] * 2)
+        m_a = fleet.Mission(id="a", p_o=[10, 30, 15], p_f=[50, 30, 15],
+                            t_o=0.0)
+        plan_mission(box_map, m_a, [], model=model, limits=limits,
+                     margins=margins, pconfig=pconfig,
+                     rng=np.random.default_rng(40))
+        assert _solve_budgets(log) == [BASE, RUNG1, RUNG2]
+        assert [s["M_r"] for s in log["solve"]] == pytest.approx(
+            [5.1, 5.25, 5.4])
+        assert np.array_equal(log["solve"][2]["tau0"], log["solve"][1]["tau"])
+
+    def _plan_b(self, box_map, planned, model, limits, margins, pconfig):
+        _, (traj_a, _), _ = planned
+        m_b = fleet.Mission(id="b", p_o=[30, 10, 15], p_f=[30, 50, 15],
+                            t_o=0.0)
+        return plan_mission(box_map, m_b, [traj_a], model=model,
+                            limits=limits, margins=margins, pconfig=pconfig,
+                            rng=np.random.default_rng(42), sched_budget=500)
+
+    def test_scheduled_corridor_failure_raises_after_round_0(
+            self, box_map, planned, model, limits, margins, pconfig,
+            monkeypatch):
+        log = _force_post_failures(monkeypatch, [("corridor",)] * 2)
+        with pytest.raises(PostCheckFailure) as info:
+            self._plan_b(box_map, planned, model, limits, margins, pconfig)
+        assert info.value is log["raised"][-1]
+        assert len(log["raised"]) == 2
+        assert len(log["schedule"]) == 1
+        assert _solve_budgets(log) == [BASE, BASE, RUNG1]
+
+    def test_scheduled_limits_failures_reach_last_rung(
+            self, box_map, planned, model, limits, margins, pconfig,
+            monkeypatch):
+        log = _force_post_failures(monkeypatch, [("limits",)] * 6)
+        _, rep = self._plan_b(box_map, planned, model, limits, margins,
+                              pconfig)
+        assert rep.scheduled
+        assert rep.post == PASSED
+        a_lim = min(limits.f_max / model.m - model.g,
+                    model.g * np.tan(limits.theta_max))
+        factors = [(v / limits.v_max, a / a_lim) for v, a in log["schedule"]]
+        assert factors == pytest.approx([(0.95, 1.0), (0.8, 0.5),
+                                         (0.7, 0.25)])
+        assert _solve_budgets(log) == [BASE] + [BASE, RUNG1] * 2 + [
+            BASE, RUNG1, RUNG2]
+        assert [s["M_r"] for s in log["solve"]] == pytest.approx([5.1] * 8)
+        sched1, rung1, rung2 = log["solve"][-3:]
+        assert np.array_equal(rung1["tau0"], sched1["tau"])
+        assert np.array_equal(rung2["tau0"], rung1["tau"] + np.log(1.15))
+
+    def test_capsule_bump_resets_each_round(
+            self, box_map, planned, model, limits, margins, pconfig,
+            monkeypatch):
+        log = _force_post_failures(monkeypatch, [("capsule",), ("limits",),
+                                                 ("capsule",)])
+        self._plan_b(box_map, planned, model, limits, margins, pconfig)
+        assert len(log["schedule"]) == 2
+        assert _solve_budgets(log) == [BASE] + [BASE, RUNG1] * 2
+        assert [s["M_r"] for s in log["solve"]] == pytest.approx(
+            [5.1, 5.1, 5.25, 5.1, 5.25])
+
+    def test_scheduled_limits_failures_exhaust_rounds(
+            self, box_map, planned, model, limits, margins, pconfig,
+            monkeypatch):
+        log = _force_post_failures(monkeypatch, [("limits",)] * 7)
+        with pytest.raises(PostCheckFailure) as info:
+            self._plan_b(box_map, planned, model, limits, margins, pconfig)
+        assert info.value is log["raised"][-1]
+        assert len(log["raised"]) == 7
+        assert len(log["schedule"]) == 3
+
+    def test_schedule_timeout_reraises_post_check_failure(
+            self, box_map, planned, model, limits, margins, pconfig,
+            monkeypatch):
+        log = _force_post_failures(monkeypatch, [("limits",)] * 2,
+                                   timeout_on=2)
+        with pytest.raises(PostCheckFailure) as info:
+            self._plan_b(box_map, planned, model, limits, margins, pconfig)
+        assert info.value is log["raised"][-1]
+        assert len(log["raised"]) == 2
+        assert len(log["schedule"]) == 2
+        assert _solve_budgets(log) == [BASE, BASE, RUNG1]
