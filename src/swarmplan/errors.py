@@ -51,6 +51,10 @@ class SingularSystem(PlanningError):
 class ScheduleTimeout(PlanningError):
     """Temporal search budget exhausted; goal region may be permanently blocked."""
 
+    def __init__(self, message, counts=None):
+        super().__init__(message)
+        self.counts = dict(counts or {})  # the search's counters
+
 
 class BlockedEndpoint(PlanningError):
     """A committed neighbor is parked too close to the mission's endpoint."""

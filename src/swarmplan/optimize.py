@@ -10,7 +10,7 @@ resolves conflicts that the spatial optimizer cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -35,6 +35,10 @@ PEN_M_R_PAD = 0.05       # m added to M_r, or if more, this share of it,
 PEN_M_R_SHARE = 0.02     # so that the padding grows with the margin
 SCHED_CLEARANCE = 0.5    # m more M_r to schedule with: the joint solve
                          # strays a second or two from the schedule
+# temporal_schedule skips a parked neighbor only when the whole curve clears
+# it by 2 M_r plus this much: far above the rounding of the interpolated
+# curve samples and of their squared distances, so no verdict changes.
+PARKED_PAD = 1e-6        # m
 
 # The retry policy of plan_mission, run in the order of ATTEMPTS until a
 # post_check passes.  A rung is (quadrature factor, stretch): rung 0 audits
@@ -357,6 +361,10 @@ class StampedProfile:
     s: np.ndarray
     sdot: np.ndarray
     t_request: float
+    # The search that produced the profile: "iterations" run, tree "nodes"
+    # (the root included), "edge_checks" and, of those, "edges_certified"
+    # by the parked test.
+    counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -465,6 +473,19 @@ def _check_step(margins, v_max, share):
     return 0.1 * (2.0 * margins.M_r) / max(v_max, 1e-9)
 
 
+def _polyline_wdist(points, q, margins) -> float:
+    """Weighted distance from the point q to the polyline through points."""
+    scale = np.sqrt(margins.W_diag)
+    p = np.asarray(points, dtype=float) * scale
+    q = np.asarray(q, dtype=float) * scale
+    a, ab = p[:-1], np.diff(p, axis=0)
+    if len(ab) == 0:
+        return float(np.linalg.norm(p[0] - q))
+    u = np.clip(np.einsum("ij,ij->i", q - a, ab)
+                / np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300), 0.0, 1.0)
+    return float(np.min(np.linalg.norm(a + u[:, None] * ab - q, axis=1)))
+
+
 def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
                       a_max, t_request, rng, *, budget: int = 20000,
                       dt: float | None = None,
@@ -476,6 +497,16 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     validated against the neighbors' space-time capsules on a shared time
     grid.  A wait-until-clear fallback seeds the tree when valid, so a
     solution exists unless the goal region is permanently blocked.
+
+    Parked-neighbor test: under the presence model of
+    penalty.check_equivalent_criterion a neighbor sits at its goal after
+    its t_end.  When an edge's whole delay window [t_a - 2 M_d,
+    t_b + 2 M_d] lies strictly after t_end and the whole curve polyline
+    clears that parked goal by more than 2 M_r + PARKED_PAD, every sample
+    would find the neighbor there and clear, so the edge skips it; an edge
+    with no neighbor left is valid without sampling.  The profile's counts
+    record the iterations, tree nodes, edge checks and the checks
+    certified this way; a ScheduleTimeout carries the same counts.
     """
     L = curve.length
     if dt is None:
@@ -484,14 +515,34 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     limit_sq = (2.0 * margins.M_r) ** 2
     trap = pathfind.profile_total_time(L, v_max, a_max)
 
+    # Per neighbor, the time after which a window is certified clear; +inf
+    # when its parked goal comes near the curve.
+    clear = 2.0 * margins.M_r + PARKED_PAD
+    parked = []
+    for nb in neighbors:
+        goal = nb.eval_many(np.array([np.inf]), 0)[0]
+        after = nb.t_end if _polyline_wdist(
+            curve.waypoints, goal, margins) > clear else np.inf
+        parked.append((nb, after))
+    lo = float(offsets.min())
+    checks = certified = 0
+
     def edge_ok(s0, v0, t_a, phases, t_b):
+        nonlocal checks, certified
+        checks += 1
+        # The window's samples are rounded sums t + v with t >= t_a, so
+        # they all lie at or beyond t_a + lo.
+        live = [nb for nb, after in parked if not t_a + lo > after]
+        if not live:
+            certified += 1
+            return True
         # Curve samples against each neighbor's whole delay window.
         times = _grid_times(t_a, t_b, t_request, dt)
         s_loc, _ = _phase_eval(s0, v0, phases, times - t_a)
         pos = curve.at(s_loc)
         return not any(float(np.min(penalty._window_sq_dists(
             pos, times, nb, offsets, margins))) < limit_sq
-            for nb in neighbors)
+            for nb in live)
 
     cap = budget + 8
     arr_s = np.zeros(cap)
@@ -610,9 +661,12 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
                 arr_t[m] = t_new + dm
         try_goal(k)
 
+    counts = {"iterations": it, "nodes": n, "edge_checks": checks,
+              "edges_certified": certified}
     if not np.isfinite(best_arrival):
         raise ScheduleTimeout(
-            "no conflict-free passage schedule found within the budget")
+            "no conflict-free passage schedule found within the budget",
+            counts=counts)
 
     # Reconstruct the edge chain and sample it on the shared grid.
     chain = []
@@ -635,7 +689,7 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     s_arr = np.maximum.accumulate(np.asarray(ss))
     return StampedProfile(curve=curve, t=np.asarray(ts), s=s_arr,
                           sdot=np.maximum(np.asarray(vs), 0.0),
-                          t_request=t_request)
+                          t_request=t_request, counts=counts)
 
 
 def _arc_geometry(traj: minco.MincoTrajectory, samples_per_piece: int = 64):
@@ -750,7 +804,8 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
     re-solve until the dense post_check passes, as ATTEMPTS lays out.  The
     report's attempts, like the .attempts of a PlanningError the loop
     raises, hold one {"round", "quadrature", "outcome"} per attempt, with
-    outcome "passed", the sorted problem names or the exception's name.
+    outcome "passed", the sorted problem names or the exception's name; an
+    attempt that ran temporal_schedule adds its search counts.
     """
     p_o = np.asarray(mission.p_o, dtype=float)
     p_f = np.asarray(mission.p_f, dtype=float)
@@ -831,6 +886,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                     curve, neighbors, sched_margins, v_fac * limits.v_max,
                     a_fac * a_lim, t_request=mission.t_o, rng=rng,
                     budget=sched_budget, dt=check_res)
+                record.update(profile.counts)
                 t_marks = [profile.departure]
                 t_marks += [profile.time_at(sj) for sj in junction_s]
                 t_marks.append(profile.arrival)
@@ -850,6 +906,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                            0.5 * margins.M_r)
             continue
         except ScheduleTimeout as exc:
+            record.update(exc.counts)
             record["outcome"] = type(exc).__name__
             exc.attempts = attempts
             if failure is None:

@@ -256,6 +256,82 @@ class TestTemporalSchedule:
             arrivals.append(prof.arrival)
         assert arrivals[0] == arrivals[1]
 
+    def test_polyline_distance_matches_dense_sampling(self):
+        rng = np.random.default_rng(12)
+        for n_pts in (1, 1, 2, 3, 5, 8) * 4:
+            pts = rng.uniform(-20.0, 20.0, size=(n_pts, 3))
+            q = rng.uniform(-30.0, 30.0, size=3)
+            m = SafetyMargins(M_r=5.0, M_d=2.0, w=float(rng.uniform(0.1, 1.0)))
+            d = optimize._polyline_wdist(pts, q, m)
+            if n_pts == 1:
+                assert d == pytest.approx(float(m.wdist(pts[0] - q)),
+                                          rel=1e-12)
+                continue
+            u = np.linspace(0.0, 1.0, 20001)
+            dense = np.concatenate([a + u[:, None] * (b - a)
+                                    for a, b in zip(pts[:-1], pts[1:])])
+            brute = float(np.min(m.wdist(dense - q)))
+            # Dense samples lie on the polyline, step / 20000 apart at most,
+            # so one lies within that of its closest point.
+            step = float(np.max(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+            assert d <= brute + 1e-9
+            assert brute <= d + step / 20000
+
+    def test_certificate_keeps_schedule_bit_identical(self, margins,
+                                                      monkeypatch):
+        # One neighbor crosses and parks 120 m up the y axis, one hovers
+        # far from the curve until t = 5: both are skipped once parked, and
+        # the schedule must not change when nothing is certified.
+        curve = pathfind.Path([[0, 0, 5], [40, 0, 5]])
+        nbs = [_transit_traj([20, 0, 5], [20, 120, 5], 0.0, 14.0),
+               _hover_traj([200, 200, 5], 0.0, 5.0)]
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(optimize, "_polyline_wdist",
+                                    lambda *args: -np.inf)
+            runs.append(temporal_schedule(
+                curve, nbs, margins, 4.0, 2.0, t_request=0.0,
+                rng=np.random.default_rng(7), budget=1500))
+        default, uncertified = runs
+        assert (0 < default.counts["edges_certified"]
+                <= default.counts["edge_checks"])
+        assert uncertified.counts["edges_certified"] == 0
+        for key in ("t", "s", "sdot"):
+            assert np.array_equal(getattr(default, key),
+                                  getattr(uncertified, key))
+        for key in ("iterations", "nodes", "edge_checks"):
+            assert default.counts[key] == uncertified.counts[key]
+
+    def test_neighbor_parked_on_curve_is_not_skipped(self, margins):
+        # The neighbor ends its flight mid-way on the curve and stays there:
+        # the mission can never pass, however late.
+        curve = pathfind.Path([[0, 0, 5], [40, 0, 5]])
+        nb = _transit_traj([20, -60, 5], [20, 0, 5], 0.0, 8.0)
+        with pytest.raises(ScheduleTimeout) as info:
+            temporal_schedule(curve, [nb], margins, 4.0, 2.0, t_request=0.0,
+                              rng=np.random.default_rng(8), budget=400)
+        counts = info.value.counts
+        assert counts["iterations"] == 400
+        assert counts["edge_checks"] > 0
+        assert counts["edges_certified"] == 0
+
+    def test_neighbor_parked_on_curve_until_departure(self, margins):
+        # The neighbor waits mid-way on the curve until t = 20, then leaves:
+        # the schedule keeps 2 M_r from it while it is parked there.
+        curve = pathfind.Path([[0, 0, 5], [40, 0, 5]])
+        nb = _transit_traj([20, 0, 5], [20, -60, 5], 20.0, 8.0)
+        prof = temporal_schedule(curve, [nb], margins, 4.0, 2.0,
+                                 t_request=0.0, rng=np.random.default_rng(9),
+                                 budget=1500)
+        ts = np.arange(prof.t[0], prof.t[-1] + 0.05, 0.05)
+        pos = curve.at(np.interp(ts, prof.t, prof.s))
+        offs = np.linspace(-2 * margins.M_d, 2 * margins.M_d, 81)
+        nbpos = nb.eval_many((ts[:, None] + offs[None, :]).ravel(),
+                             0).reshape(len(ts), -1, 3)
+        d = margins.wdist(pos[:, None, :] - nbpos)
+        assert float(d.min()) >= 2.0 * margins.M_r - 0.5
+
     def test_profile_validation(self):
         curve = pathfind.Path([[0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError):
@@ -468,6 +544,16 @@ class TestPlanMission:
         assert check(paths["a"], paths["rev"]) == cli.EXIT_AUDIT
         assert check(str(tmp_path / "missing.json")) == cli.EXIT_USAGE
 
+    def test_cli_planning_failure_exit_code(self, tmp_path):
+        # A straight-down drop of 20 m in 2 s accelerates downward at up to
+        # 2.9 g, which no thrust can produce: the flatness map inverts.
+        drop = _transit_traj([30, 30, 25], [30, 30, 5], 0.0, 2.0)
+        path = str(tmp_path / "traj_drop.json")
+        io.save_trajectory(path, drop)
+        assert cli.main(["profile", "--out", str(tmp_path), "--traj",
+                         path]) == cli.EXIT_PLANNING
+        assert not (tmp_path / "profile.csv").exists()
+
     def test_cli_fleet_records_attempts(self, box_map, margins, tmp_path):
         polymap = str(tmp_path / "polymap.json")
         io.save_polymap(polymap, box_map)
@@ -490,6 +576,34 @@ class TestPlanMission:
         assert twin["status"] == fleet.FAILED
         assert twin["error"].startswith("BlockedEndpoint")
         assert twin["attempts"] == []
+
+    def test_cli_fleet_records_schedule_counts(self, box_map, margins,
+                                               tmp_path):
+        # Two 44 m crossings through [30, 30, 15] at 45 degrees, requested
+        # together: the second waits in the scheduler for the first to pass,
+        # then finds it parked far from its curve.
+        polymap = str(tmp_path / "polymap.json")
+        io.save_polymap(polymap, box_map)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "margins": {"M_r": margins.M_r, "M_d": margins.M_d,
+                        "w": margins.w},
+            "search": {"sched_budget": 4000}}))
+        missions = tmp_path / "missions.csv"
+        missions.write_text("id,t_o,ox,oy,oz,fx,fy,fz\n"
+                            "m1,0,52,30,15,8,30,15\n"
+                            "m2,0,45.556,45.556,15,14.444,14.444,15\n")
+        assert cli.main(["fleet", "--config", str(config), "--out",
+                         str(tmp_path), "--polymap", polymap, "--missions",
+                         str(missions)]) == cli.EXIT_OK
+        m1, m2 = json.loads((tmp_path / "fleet.json").read_text())[
+            "missions"]
+        assert m2["status"] == fleet.COMMITTED and m2["scheduled"]
+        first = m2["attempts"][0]
+        assert first["round"] == 0
+        assert first["iterations"] > 0 and first["nodes"] > 1
+        assert 0 < first["edges_certified"] <= first["edge_checks"]
+        assert "edge_checks" not in m1["attempts"][0]
 
     def test_attempt_records(self, box_map, model, limits, margins, pconfig,
                              monkeypatch):
