@@ -129,7 +129,7 @@ def cmd_fleet(args) -> int:
                 rrt_step=cfg.search.rrt_step,
                 rrt_budget=cfg.search.rrt_budget,
                 informed_budget=cfg.search.informed_budget,
-                sched_budget=cfg.search.sched_budget, sched_dt=sched_dt)
+                sched_dt=sched_dt)
             db.commit(mission.id, traj)
             fname = f"traj_{mission.id}.json"
             io.save_trajectory(os.path.join(args.out, fname), traj)

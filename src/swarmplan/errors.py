@@ -49,7 +49,8 @@ class SingularSystem(PlanningError):
 
 
 class ScheduleTimeout(PlanningError):
-    """Temporal search budget exhausted; goal region may be permanently blocked."""
+    """No conflict-free passage schedule along the fixed curve: the
+    scheduler's reachable set emptied or stopped changing."""
 
     def __init__(self, message, counts=None):
         super().__init__(message)

@@ -40,6 +40,9 @@ class Mission:
         self.p_o = np.asarray(self.p_o, dtype=float).reshape(3)
         self.p_f = np.asarray(self.p_f, dtype=float).reshape(3)
         self.t_o = float(self.t_o)
+        for name in ("t_o", "p_o", "p_f"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"mission {self.id!r}: {name} must be finite")
 
 
 @dataclass

@@ -4,8 +4,9 @@ The decision variables are unconstrained: each junction waypoint is the
 convex combination of its intersection-polytope vertices with weights
 xi^2 / sum(xi^2), and each piece duration is exp(tau).  The composite
 penalized objective from the penalty module is minimized with the
-quasi-Newton solver; a kinodynamic scheduler over (arc length, speed)
-resolves conflicts that the spatial optimizer cannot.
+quasi-Newton solver; an earliest-arrival search over (arc length, time)
+along the fixed curve resolves conflicts that the spatial optimizer
+cannot.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ PEN_M_R_PAD = 0.05       # m added to M_r, or if more, this share of it,
 PEN_M_R_SHARE = 0.02     # so that the padding grows with the margin
 SCHED_CLEARANCE = 0.5    # m more M_r to schedule with: the joint solve
                          # strays a second or two from the schedule
-# temporal_schedule skips a parked neighbor only when the whole curve clears
-# it by 2 M_r plus this much: far above the rounding of the interpolated
-# curve samples and of their squared distances, so no verdict changes.
-PARKED_PAD = 1e-6        # m
 
 # The retry policy of plan_mission, run in the order of ATTEMPTS until a
 # post_check passes.  A rung is (quadrature factor, stretch): rung 0 audits
@@ -361,9 +358,9 @@ class StampedProfile:
     s: np.ndarray
     sdot: np.ndarray
     t_request: float
-    # The search that produced the profile: "iterations" run, tree "nodes"
-    # (the root included), "edge_checks" and, of those, "edges_certified"
-    # by the parked test.
+    # The search that produced the profile: time "layers" expanded, lattice
+    # states reached ("cells", summed over the layers) and candidate states
+    # dropped as "blocked"; all 0 when the unobstructed trapezoid was clear.
     counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -399,72 +396,6 @@ class StampedProfile:
         return float(self.t[idx - 1] + w * (self.t[idx] - self.t[idx - 1]))
 
 
-def _steer_1d(s0, v0, s1, v1, a_max, v_max):
-    """Time-optimal forward connection of a 1D double integrator.
-
-    Returns (duration, phases) with phases a list of (length, accel)
-    segments, or None when no forward profile within the caps exists.
-    """
-    ds = s1 - s0
-    if ds < -1e-12 or v0 < -1e-9 or v1 < -1e-9:
-        return None
-    if v0 > v_max + 1e-9 or v1 > v_max + 1e-9:
-        return None
-    v0 = min(max(v0, 0.0), v_max)
-    v1 = min(max(v1, 0.0), v_max)
-    a = a_max
-    if ds <= 1e-12:
-        if abs(v1 - v0) <= 1e-9 and v0 <= 1e-9:
-            return 0.0, []
-        return None
-    vp2 = a * ds + 0.5 * (v0 * v0 + v1 * v1)
-    vp = np.sqrt(max(vp2, 0.0))
-    if vp + 1e-9 < max(v0, v1):
-        return None
-    if vp <= v_max:
-        t1 = max((vp - v0) / a, 0.0)
-        t2 = max((vp - v1) / a, 0.0)
-        return t1 + t2, [(t1, a), (t2, -a)]
-    t1 = (v_max - v0) / a
-    t3 = (v_max - v1) / a
-    d13 = (v_max * v_max - v0 * v0 + v_max * v_max - v1 * v1) / (2.0 * a)
-    tc = (ds - d13) / v_max
-    if tc < -1e-9:
-        return None
-    tc = max(tc, 0.0)
-    return t1 + tc + t3, [(t1, a), (tc, 0.0), (t3, -a)]
-
-
-def _phase_eval(s0, v0, phases, tq):
-    """Arc length and speed at local times within a phase chain."""
-    tq = np.asarray(tq, dtype=float)
-    s = np.full(tq.shape, np.nan)
-    v = np.full(tq.shape, np.nan)
-    t_acc, s_acc, v_acc = 0.0, float(s0), float(v0)
-    for dur, acc in phases:
-        m = (tq >= t_acc - 1e-12) & (tq <= t_acc + dur + 1e-12)
-        dt = np.clip(tq[m] - t_acc, 0.0, dur)
-        s[m] = s_acc + v_acc * dt + 0.5 * acc * dt * dt
-        v[m] = v_acc + acc * dt
-        s_acc += v_acc * dur + 0.5 * acc * dur * dur
-        v_acc += acc * dur
-        t_acc += dur
-    rest = ~np.isfinite(s)
-    s[rest] = s_acc
-    v[rest] = v_acc
-    return s, v
-
-
-def _grid_times(t_a, t_b, origin, dt):
-    """Global-grid times inside [t_a, t_b] plus both endpoints."""
-    if t_b <= t_a + 1e-12:
-        return np.array([t_a, t_b]) if t_b > t_a else np.array([t_a])
-    k0 = int(np.ceil((t_a - origin) / dt - 1e-9))
-    k1 = int(np.floor((t_b - origin) / dt + 1e-9))
-    ks = origin + dt * np.arange(k0, k1 + 1) if k1 >= k0 else np.zeros(0)
-    return np.unique(np.concatenate([[t_a], np.clip(ks, t_a, t_b), [t_b]]))
-
-
 def _check_step(margins, v_max, share):
     """Separation grid step: a share of M_d, or with no delay margin the
     time to cover a tenth of 2 M_r at v_max."""
@@ -473,223 +404,149 @@ def _check_step(margins, v_max, share):
     return 0.1 * (2.0 * margins.M_r) / max(v_max, 1e-9)
 
 
-def _polyline_wdist(points, q, margins) -> float:
-    """Weighted distance from the point q to the polyline through points."""
-    scale = np.sqrt(margins.W_diag)
-    p = np.asarray(points, dtype=float) * scale
-    q = np.asarray(q, dtype=float) * scale
-    a, ab = p[:-1], np.diff(p, axis=0)
-    if len(ab) == 0:
-        return float(np.linalg.norm(p[0] - q))
-    u = np.clip(np.einsum("ij,ij->i", q - a, ab)
-                / np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300), 0.0, 1.0)
-    return float(np.min(np.linalg.norm(a + u[:, None] * ab - q, axis=1)))
+def _trapezoid(L, v_max, a_max, tau):
+    """Arc length and speed of the rest-to-rest trapezoid over L at local
+    times tau in [0, pathfind.profile_total_time(L, v_max, a_max)]."""
+    T = pathfind.profile_total_time(L, v_max, a_max)
+    vp = min(v_max, np.sqrt(a_max * L))
+    t1 = vp / a_max
+    s = np.where(tau < t1, 0.5 * a_max * tau ** 2,
+                 np.where(tau > T - t1, L - 0.5 * a_max * (T - tau) ** 2,
+                          vp * (tau - 0.5 * t1)))
+    return s, np.clip(a_max * np.minimum(tau, T - tau), 0.0, vp)
+
+
+def _blocked_message(hit, seen, s_grid, t, cause):
+    """Name the run of blocked arc-length cells that is not behind the
+    farthest cell reached, and the neighbors that block it."""
+    far = np.flatnonzero(seen)[-1] if seen.any() else 0
+    cut = np.concatenate(([False], hit.any(axis=0), [False]))
+    runs = np.flatnonzero(np.diff(cut)).reshape(-1, 2)
+    a, b = next((run for run in runs if run[1] > far), runs[-1])
+    names = ", ".join(str(n) for n in np.flatnonzero(hit[:, a:b].any(axis=1)))
+    return (f"no conflict-free passage schedule: the reachable set {cause} "
+            f"at t = {t:.2f} s; arc length {s_grid[a]:.2f}-{s_grid[b - 1]:.2f}"
+            f" m of {s_grid[-1]:.2f} m is blocked by neighbor {names}")
 
 
 def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
-                      a_max, t_request, rng, *, budget: int = 20000,
-                      dt: float | None = None,
-                      horizon_factor: float = 4.0) -> StampedProfile:
-    """Passage times along a fixed curve avoiding all stamped neighbors.
+                      a_max, t_request, *,
+                      dt: float | None = None) -> StampedProfile:
+    """Earliest-arrival passage times along a fixed curve avoiding all
+    stamped neighbors.
 
-    Kinodynamic tree search over (arc length, speed) states with
-    time-optimal double-integrator steering; every candidate edge is
-    validated against the neighbors' space-time capsules on a shared time
-    grid.  A wait-until-clear fallback seeds the tree when valid, so a
-    solution exists unless the goal region is permanently blocked.
+    The curve stays and only its timing is searched.  The unobstructed
+    rest-to-rest trapezoid is tried first, so a free curve is flown in
+    minimal time.  Otherwise an exact-kinematics lattice is searched layer
+    by layer: times t_request + k dt, speeds j a' dt with j <= J, and arc
+    lengths i h, h = a' dt^2 / 2 = L / N with N even and a' <= a_max.  One
+    layer accelerates by u a', u in {-1, 0, 1}, taking (i, j) to
+    (i + 2 j + u, j + u); i + j keeps its parity, so (N, 0) is reachable.
+    A cell (i, k) is blocked when curve.at(i h) comes within 2 M_r
+    (weighted) of a neighbor at t_k + v, v on the delay window's grid, by
+    the arithmetic of penalty._window_sq_dists; every sample of the
+    returned profile is a lattice point that passed this test.
 
-    Parked-neighbor test: under the presence model of
-    penalty.check_equivalent_criterion a neighbor sits at its goal after
-    its t_end.  When an edge's whole delay window [t_a - 2 M_d,
-    t_b + 2 M_d] lies strictly after t_end and the whole curve polyline
-    clears that parked goal by more than 2 M_r + PARKED_PAD, every sample
-    would find the neighbor there and clear, so the edge skips it; an edge
-    with no neighbor left is valid without sampling.  The profile's counts
-    record the iterations, tree nodes, edge checks and the checks
-    certified this way; a ScheduleTimeout carries the same counts.
+    Once every window lies after every neighbor's t_end, the neighbors are
+    parked (the presence model of penalty.check_equivalent_criterion) and
+    the blocked map no longer changes, so a reachable set that repeats from
+    one layer to the next repeats for ever.  ScheduleTimeout is raised when
+    the reachable set empties or repeats; its message names the blocked
+    arc-length span ahead of the farthest cell reached and the neighbors
+    that block it.  The counts, on the profile or the error, hold the
+    layers expanded, the lattice states reached ("cells") and the
+    candidate states dropped as "blocked".
     """
     L = curve.length
     if dt is None:
         dt = _check_step(margins, v_max, 0.05)
     offsets = penalty._closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, dt)
     limit_sq = (2.0 * margins.M_r) ** 2
-    trap = pathfind.profile_total_time(L, v_max, a_max)
+    neighbors = list(neighbors)
+    counts = {"layers": 0, "cells": 0, "blocked": 0}
 
-    # Per neighbor, the time after which a window is certified clear; +inf
-    # when its parked goal comes near the curve.
-    clear = 2.0 * margins.M_r + PARKED_PAD
-    parked = []
-    for nb in neighbors:
-        goal = nb.eval_many(np.array([np.inf]), 0)[0]
-        after = nb.t_end if _polyline_wdist(
-            curve.waypoints, goal, margins) > clear else np.inf
-        parked.append((nb, after))
-    lo = float(offsets.min())
-    checks = certified = 0
+    T = pathfind.profile_total_time(L, v_max, a_max)
+    tau = np.append(dt * np.arange(int(np.ceil(T / dt - 1e-9))), T)
+    s, v = _trapezoid(L, v_max, a_max, tau)
+    if all(float(np.min(penalty._window_sq_dists(
+            curve.at(s), t_request + tau, nb, offsets, margins))) >= limit_sq
+           for nb in neighbors):
+        return StampedProfile(curve=curve, t=t_request + tau, s=s, sdot=v,
+                              t_request=t_request, counts=counts)
 
-    def edge_ok(s0, v0, t_a, phases, t_b):
-        nonlocal checks, certified
-        checks += 1
-        # The window's samples are rounded sums t + v with t >= t_a, so
-        # they all lie at or beyond t_a + lo.
-        live = [nb for nb, after in parked if not t_a + lo > after]
-        if not live:
-            certified += 1
-            return True
-        # Curve samples against each neighbor's whole delay window.
-        times = _grid_times(t_a, t_b, t_request, dt)
-        s_loc, _ = _phase_eval(s0, v0, phases, times - t_a)
-        pos = curve.at(s_loc)
-        return not any(float(np.min(penalty._window_sq_dists(
-            pos, times, nb, offsets, margins))) < limit_sq
-            for nb in live)
+    N = 2 * max(int(np.ceil(L / (a_max * dt * dt))), 1)
+    unit = 2.0 * (L / N) / dt            # speed step a' dt
+    J = int(v_max / unit)
+    s_grid = np.linspace(0.0, L, N + 1)
+    pts = curve.at(s_grid)
+    # A cell outside the box of a neighbor's window samples, widened by
+    # 2 M_r per weighted axis and 1 um for rounding, is clear of them all.
+    reach = 2.0 * margins.M_r / np.sqrt(margins.W_diag) + 1e-6
+    t_end = max(nb.t_end for nb in neighbors)
 
-    cap = budget + 8
-    arr_s = np.zeros(cap)
-    arr_v = np.zeros(cap)
-    arr_t = np.zeros(cap)
-    parent = np.full(cap, -1, dtype=int)
-    children = np.zeros(cap, dtype=int)
-    phases_of: list = [None] * cap
-    arr_t[0] = t_request
-    n = 1
+    def blocked(t, cells):
+        """Per neighbor, which of the cells lie within 2 M_r of it at
+        t + offsets."""
+        hit = np.zeros((len(neighbors), N + 1), dtype=bool)
+        for n, nb in enumerate(neighbors):
+            q = nb.eval_many(t + offsets, 0)
+            near = cells[np.all((pts[cells] > q.min(axis=0) - reach)
+                                & (pts[cells] < q.max(axis=0) + reach),
+                                axis=1)]
+            if len(near):
+                d2 = penalty._window_sq_dists(pts[near], np.array([t]), nb,
+                                              offsets, margins)
+                hit[n, near] = np.min(d2, axis=1) < limit_sq
+        return hit
 
-    best_arrival = np.inf
-    best_goal = None  # (parent node, phases, duration)
-
-    def try_goal(i):
-        nonlocal best_arrival, best_goal
-        hit = _steer_1d(arr_s[i], arr_v[i], L, 0.0, a_max, v_max)
-        if hit is None:
-            return
-        dur, ph = hit
-        t_arr = arr_t[i] + dur
-        if t_arr >= best_arrival - 1e-9:
-            return
-        if edge_ok(arr_s[i], arr_v[i], arr_t[i], ph, t_arr):
-            best_arrival = t_arr
-            best_goal = (i, ph, dur)
-
-    def add_node(s, v, t, par, ph):
-        nonlocal n
-        arr_s[n], arr_v[n], arr_t[n] = s, v, t
-        parent[n] = par
-        children[par] += 1
-        phases_of[n] = ph
-        n += 1
-        return n - 1
-
-    # Direct attempt, then the wait-until-clear fallback.
-    try_goal(0)
-    t_clear = t_request
-    for nb in neighbors:
-        t_clear = max(t_clear, nb.t_end + 2.0 * margins.M_d + dt)
-    if not np.isfinite(best_arrival) or t_clear > t_request:
-        if t_clear > t_request:
-            ph_wait = [(t_clear - t_request, 0.0)]
-            if edge_ok(0.0, 0.0, t_request, ph_wait, t_clear) and n < cap:
-                w = add_node(0.0, 0.0, t_clear, 0, ph_wait)
-                try_goal(w)
-
-    horizon = (t_clear - t_request) + horizon_factor * max(trap, 1.0)
-    lower = t_request + trap
-
-    it = 0
-    while it < budget and n < cap - 2:
-        it += 1
-        if best_arrival <= lower + max(1e-3, 1e-3 * trap):
+    R = np.zeros((J + 1, N + 1), dtype=bool)    # R[j, i]: (i, j) reached
+    R[0, 0] = True
+    seen = np.zeros(N + 1, dtype=bool)
+    layers, prev, static = [], None, False
+    while True:
+        t = t_request + counts["layers"] * dt
+        # Only the cells entered are tested until the map is static; then
+        # all of them, once.
+        if not static:
+            static = t + offsets[0] > t_end
+            hit = blocked(t, np.flatnonzero(static | R.any(axis=0)))
+        cut = hit.any(axis=0)
+        counts["blocked"] += int(np.count_nonzero(R[:, cut]))
+        R &= ~cut
+        counts["cells"] += int(np.count_nonzero(R))
+        layers.append(np.packbits(R))
+        seen |= R.any(axis=0)
+        if R[0, N]:
             break
-        if rng.uniform() < 0.2:
-            # Wait move: extend a stopped node to a later time.
-            stopped = np.flatnonzero(arr_v[:n] <= 1e-9)
-            i = int(stopped[rng.integers(len(stopped))])
-            t_new = rng.uniform(arr_t[i], t_request + horizon)
-            if t_new <= arr_t[i] + 1e-6:
-                continue
-            ph = [(t_new - arr_t[i], 0.0)]
-            if edge_ok(arr_s[i], 0.0, arr_t[i], ph, t_new):
-                k = add_node(arr_s[i], 0.0, t_new, i, ph)
-                try_goal(k)
-            continue
-        s_t = rng.uniform(0.0, L)
-        v_t = rng.uniform(0.0, v_max)
-        t_t = rng.uniform(t_request, t_request + horizon)
-        # Nearest by a normalized space-speed-time metric.
-        d = (np.abs(arr_s[:n] - s_t) / max(L, 1e-9)
-             + np.abs(arr_v[:n] - v_t) / max(v_max, 1e-9)
-             + np.abs(arr_t[:n] - t_t) / max(horizon, 1e-9))
-        if n > 8:
-            order = np.argpartition(d, 8)[:8]
-            order = order[np.argsort(d[order])]
-        else:
-            order = np.argsort(d)
-        hit = None
-        for i in order:
-            res = _steer_1d(arr_s[i], arr_v[i], s_t, v_t, a_max, v_max)
-            if res is None:
-                continue
-            dur, ph = res
-            t_new = arr_t[i] + dur
-            if t_new > t_request + horizon:
-                continue
-            if edge_ok(arr_s[i], arr_v[i], arr_t[i], ph, t_new):
-                hit = (int(i), dur, ph, t_new)
+        if not R.any() or static and np.array_equal(R, prev):
+            cause = "repeats" if R.any() else "is empty"
+            raise ScheduleTimeout(_blocked_message(hit, seen, s_grid, t,
+                                                   cause), counts=counts)
+        prev, R = R, np.zeros_like(R)
+        for j in np.flatnonzero(prev.any(axis=1)):
+            for u in (-1, 0, 1):
+                d = 2 * j + u
+                if 0 <= j + u <= J and d <= N:
+                    R[j + u, d:] |= prev[j, :N + 1 - d]
+        counts["layers"] += 1
+
+    # Walk back from (N, 0) through the fastest predecessor reached.
+    i, j = N, 0
+    ij = [(i, j)]
+    for bits in reversed(layers[:-1]):
+        for u in (-1, 0, 1):
+            pj = j - u
+            pi = i - 2 * pj - u
+            c = pj * (N + 1) + pi
+            if 0 <= pj <= J and pi >= 0 and bits[c >> 3] >> (7 - c % 8) & 1:
                 break
-        if hit is None:
-            continue
-        i, dur, ph, t_new = hit
-        k = add_node(s_t, v_t, t_new, i, ph)
-        # Leaf rewiring: the new node may reach childless nodes sooner.
-        near = np.flatnonzero((np.abs(arr_s[:k] - s_t) <= 0.1 * max(L, 1e-9))
-                              & (children[:k] == 0) & (arr_t[:k] > t_new))
-        for m in near[:4]:
-            # Never retime the node anchoring the best goal edge; its
-            # stored departure window was validated at the old arrival.
-            if best_goal is not None and m == best_goal[0]:
-                continue
-            res = _steer_1d(s_t, v_t, arr_s[m], arr_v[m], a_max, v_max)
-            if res is None:
-                continue
-            dm, phm = res
-            if t_new + dm >= arr_t[m] - 1e-9:
-                continue
-            if edge_ok(s_t, v_t, t_new, phm, t_new + dm):
-                children[parent[m]] -= 1
-                parent[m] = k
-                children[k] += 1
-                phases_of[m] = phm
-                arr_t[m] = t_new + dm
-        try_goal(k)
-
-    counts = {"iterations": it, "nodes": n, "edge_checks": checks,
-              "edges_certified": certified}
-    if not np.isfinite(best_arrival):
-        raise ScheduleTimeout(
-            "no conflict-free passage schedule found within the budget",
-            counts=counts)
-
-    # Reconstruct the edge chain and sample it on the shared grid.
-    chain = []
-    i, ph, dur = best_goal
-    chain.append((arr_s[i], arr_v[i], arr_t[i], ph, arr_t[i] + dur))
-    while parent[i] >= 0:
-        p = parent[i]
-        chain.append((arr_s[p], arr_v[p], arr_t[p], phases_of[i], arr_t[i]))
-        i = p
-    chain.reverse()
-    ts, ss, vs = [t_request], [0.0], [0.0]
-    for s0, v0, t_a, ph, t_b in chain:
-        times = _grid_times(t_a, t_b, t_request, dt)
-        s_loc, v_loc = _phase_eval(s0, v0, ph, times - t_a)
-        for tt, sv, vv in zip(times, s_loc, v_loc):
-            if tt > ts[-1] + 1e-12:
-                ts.append(float(tt))
-                ss.append(float(sv))
-                vs.append(float(vv))
-    s_arr = np.maximum.accumulate(np.asarray(ss))
-    return StampedProfile(curve=curve, t=np.asarray(ts), s=s_arr,
-                          sdot=np.maximum(np.asarray(vs), 0.0),
-                          t_request=t_request, counts=counts)
+        i, j = pi, pj
+        ij.append((i, j))
+    ii, jj = np.array(ij[::-1]).T
+    return StampedProfile(curve=curve,
+                          t=t_request + dt * np.arange(len(layers)),
+                          s=s_grid[ii], sdot=unit * jj, t_request=t_request,
+                          counts=counts)
 
 
 def _arc_geometry(traj: minco.MincoTrajectory, samples_per_piece: int = 64):
@@ -794,8 +651,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                  pconfig, rng, options: SolveOptions | None = None,
                  yaw_plan=None, a_max: float | None = None,
                  rrt_step: float = 5.0, rrt_budget: int = 20000,
-                 informed_budget: int = 5000, sched_budget: int = 20000,
-                 sched_dt: float | None = None):
+                 informed_budget: int = 5000, sched_dt: float | None = None):
     """Full single-mission pipeline against a set of committed neighbors.
 
     Search, corridor, refined waypoints, trapezoidal durations, spatial
@@ -805,7 +661,8 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
     report's attempts, like the .attempts of a PlanningError the loop
     raises, hold one {"round", "quadrature", "outcome"} per attempt, with
     outcome "passed", the sorted problem names or the exception's name; an
-    attempt that ran temporal_schedule adds its search counts.
+    attempt that ran temporal_schedule adds its search counts (layers,
+    cells, blocked), and rng drives the path search only.
     """
     p_o = np.asarray(mission.p_o, dtype=float)
     p_f = np.asarray(mission.p_f, dtype=float)
@@ -884,8 +741,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                 a_fac, v_fac = ROUNDS[rnd]
                 profile = temporal_schedule(
                     curve, neighbors, sched_margins, v_fac * limits.v_max,
-                    a_fac * a_lim, t_request=mission.t_o, rng=rng,
-                    budget=sched_budget, dt=check_res)
+                    a_fac * a_lim, t_request=mission.t_o, dt=check_res)
                 record.update(profile.counts)
                 t_marks = [profile.departure]
                 t_marks += [profile.time_at(sj) for sj in junction_s]

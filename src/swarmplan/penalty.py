@@ -365,7 +365,8 @@ def check_equivalent_criterion(traj_a, traj_b, margins, resolution):
 
 def _window_sq_dists(pos, times, nb, offsets, margins):
     """Squared weighted distances from pos[k], held at times[k], to the
-    neighbor at times[k] + offsets[j]; shape (len(times), len(offsets))."""
+    neighbor at times[k] + offsets[j]; shape (len(pos), len(offsets)).  A
+    single time holds every row."""
     grid = (np.asarray(times)[:, None] + offsets[None, :]).ravel()
     nb_pos = nb.eval_many(grid, 0).reshape(len(times), -1, 3)
     return margins.wdist_sq(pos[:, None, :] - nb_pos)

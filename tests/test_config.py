@@ -10,6 +10,7 @@ from swarmplan.dynamics import Limits, VehicleModel
     ({"vehicles": {"m": 2.0}}, "unknown config sections"),
     ({"vehicle": {"mass": 2.0}}, "unknown keys in section 'vehicle'"),
     ({"vehicle": 2.0}, "section 'vehicle' must be an object"),
+    ({"search": {"sched_budget": 4000}}, "unknown keys in section 'search'"),
 ])
 def test_rejects_typos(data, message):
     with pytest.raises(ValueError, match=message):

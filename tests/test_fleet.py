@@ -31,3 +31,14 @@ class TestCommit:
         assert info.value.pair == ("b", "a")
         assert info.value.margin < fleet.AUDIT_TOL
         assert db.ids() == ["a"]
+
+
+class TestMission:
+    @pytest.mark.parametrize("field", ["t_o", "p_o", "p_f"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fields_rejected(self, field, bad):
+        fields = {"p_o": [0.0, 0.0, 5.0], "p_f": [10.0, 0.0, 5.0],
+                  "t_o": 0.0}
+        fields[field] = bad if field == "t_o" else [0.0, bad, 5.0]
+        with pytest.raises(ValueError, match=f"mission 'x': {field} "):
+            fleet.Mission(id="x", **fields)

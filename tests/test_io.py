@@ -46,3 +46,15 @@ def test_non_finite_float_rejected(x):
         io._fmt_float(x)
     with pytest.raises(ValueError, match="non-finite"):
         io.dumps_json({"t": [1.0, x]})
+
+
+@pytest.mark.parametrize("row, field", [
+    ("m1,nan,0,0,5,10,0,5", "t_o"),
+    ("m1,0,0,inf,5,10,0,5", "p_o"),
+    ("m1,0,0,0,5,10,-inf,5", "p_f"),
+])
+def test_mission_csv_rejects_non_finite_fields(tmp_path, row, field):
+    path = tmp_path / "missions.csv"
+    path.write_text("id,t_o,ox,oy,oz,fx,fy,fz\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"mission 'm1': {field} "):
+        io.load_missions(str(path))
