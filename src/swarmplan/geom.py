@@ -4,8 +4,9 @@ Contents:
     Aabb                 axis-aligned box
     HalfspacePolytope    convex region {x : N x <= o} with unit row normals
     ObstacleMap          voxel grid or raw point cloud with scene bounds
-    SegmentTreeIndex     3-level segment tree answering point-stabbing queries
-    PolyMap              polytope union covering free space
+    PolyMap              polytope union covering free space; owns the one
+                         box filter (per-polytope bounding boxes) in front
+                         of every point and segment query
     module operations    analytic centers, vertex enumeration, tangent-plane
                          polytope growth, map polyhedronization, stab queries,
                          segment containment
@@ -44,9 +45,6 @@ class Aabb:
     def contains(self, x):
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
-    def intersects(self, other):
-        return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
 
     def clipped(self, other):
         lo = np.maximum(self.lo, other.lo)
@@ -137,11 +135,6 @@ class HalfspacePolytope:
 
     def __repr__(self):
         return f"HalfspacePolytope(nfaces={self.nfaces})"
-
-
-def contains(polytope, x, slack=0.0):
-    """Module-level alias of HalfspacePolytope.contains."""
-    return polytope.contains(x, slack)
 
 
 def chebyshev_like_center(polytope, tol=1e-10, max_iter=80):
@@ -306,10 +299,6 @@ class ObstacleMap:
     def from_points(points, bounds):
         return ObstacleMap(bounds, "points", cloud=np.asarray(points, dtype=float))
 
-    @property
-    def obstacle_points(self):
-        return self._centers
-
     def is_free(self, x):
         return bool(self.free_mask(np.asarray(x, dtype=float).reshape(1, 3))[0])
 
@@ -343,137 +332,6 @@ class ObstacleMap:
         return c[mask]
 
 
-class _SegNode:
-    __slots__ = ("lo", "hi", "left", "right", "items", "payload")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-        self.left = None
-        self.right = None
-        self.items = []
-        self.payload = None
-
-
-class _SegTree1D:
-    """Canonical segment tree over closed float intervals.
-
-    Atoms alternate endpoint / open gap so stabbing at a shared endpoint hits
-    every interval that closes or opens there.  Payloads are produced by
-    payload_factory from the item lists of canonically covered nodes.
-    """
-
-    def __init__(self, intervals, items, payload_factory):
-        ep = np.unique(np.asarray(intervals, dtype=float).reshape(-1))
-        self.ep = ep
-        natoms = 2 * len(ep) - 1
-        self.root = self._build(0, natoms - 1)
-        for (a, b), item in zip(intervals, items):
-            ia = 2 * int(np.searchsorted(ep, a))
-            ib = 2 * int(np.searchsorted(ep, b))
-            self._insert(self.root, ia, ib, item)
-        self._finalize(self.root, payload_factory)
-
-    def _build(self, lo, hi):
-        node = _SegNode(lo, hi)
-        if lo < hi:
-            mid = (lo + hi) // 2
-            node.left = self._build(lo, mid)
-            node.right = self._build(mid + 1, hi)
-        return node
-
-    def _insert(self, node, a, b, item):
-        if a <= node.lo and node.hi <= b:
-            node.items.append(item)
-            return
-        if node.left is not None and a <= node.left.hi:
-            self._insert(node.left, a, b, item)
-        if node.right is not None and b >= node.right.lo:
-            self._insert(node.right, a, b, item)
-
-    def _finalize(self, node, factory):
-        if node.items:
-            node.payload = factory(node.items)
-        node.items = None
-        if node.left is not None:
-            self._finalize(node.left, factory)
-            self._finalize(node.right, factory)
-
-    def _atom(self, x):
-        ep = self.ep
-        if not len(ep) or x < ep[0] or x > ep[-1]:
-            return -1
-        i = int(np.searchsorted(ep, x))
-        if i < len(ep) and ep[i] == x:
-            return 2 * i
-        return 2 * i - 1
-
-    def stab(self, x, sink):
-        atom = self._atom(x)
-        if atom < 0:
-            return
-        node = self.root
-        while node is not None:
-            if node.payload is not None:
-                sink(node.payload)
-            if node.left is not None and atom <= node.left.hi:
-                node = node.left
-            elif node.right is not None:
-                node = node.right
-            else:
-                node = None
-
-
-class SegmentTreeIndex:
-    """Three nested segment-tree levels (x, then y, then z) over box extents.
-
-    stab(x) returns exactly {i : boxes[i] contains x}, boundaries included.
-    """
-
-    def __init__(self, los, his):
-        los = np.asarray(los, dtype=float).reshape(-1, 3)
-        his = np.asarray(his, dtype=float).reshape(-1, 3)
-        self.n = len(los)
-        self._los, self._his = los, his
-        if self.n == 0:
-            self._tree = None
-            return
-
-        def z_factory(ids):
-            return np.array(sorted(ids), dtype=int)
-
-        def y_factory(ids):
-            ids = list(ids)
-            ivals = [(los[i, 2], his[i, 2]) for i in ids]
-            return _SegTree1D(ivals, ids, z_factory)
-
-        def x_factory(ids):
-            ids = list(ids)
-            ivals = [(los[i, 1], his[i, 1]) for i in ids]
-            return _SegTree1D(ivals, ids, y_factory)
-
-        ivals = [(los[i, 0], his[i, 0]) for i in range(self.n)]
-        self._tree = _SegTree1D(ivals, list(range(self.n)), x_factory)
-
-    def stab(self, x):
-        if self._tree is None:
-            return np.empty(0, dtype=int)
-        x = np.asarray(x, dtype=float).reshape(3)
-        out = set()
-
-        def take_z(ids):
-            out.update(ids.tolist())
-
-        def take_y(ytree):
-            ytree.stab(x[2], take_z)
-
-        def take_x(xtree):
-            xtree.stab(x[1], take_y)
-
-        self._tree.stab(x[0], take_x)
-        return np.array(sorted(out), dtype=int)
-
-
 class PolyMap:
     """Union of obstacle-free polytopes covering the scene's free space."""
 
@@ -487,21 +345,18 @@ class PolyMap:
             boxes = [_polytope_aabb(p) for p in self.polytopes]
         self.boxes = list(boxes)
         self.fill_estimate = fill_estimate
-        self._rebuild_arrays()
-
-    def _rebuild_arrays(self):
-        n = len(self.boxes)
-        self.box_los = (np.array([b.lo for b in self.boxes])
-                        if n else np.empty((0, 3)))
-        self.box_his = (np.array([b.hi for b in self.boxes])
-                        if n else np.empty((0, 3)))
-        self.index = SegmentTreeIndex(self.box_los, self.box_his)
+        self.box_los = np.array([b.lo for b in self.boxes]).reshape(-1, 3)
+        self.box_his = np.array([b.hi for b in self.boxes]).reshape(-1, 3)
 
     def candidates(self, x):
-        return self.index.stab(x)
+        """Ascending indices of the polytopes whose box holds x, boundaries
+        included: the only ones that can contain x."""
+        x = np.asarray(x, dtype=float).reshape(3)
+        return np.flatnonzero(np.all((self.box_los <= x) & (x <= self.box_his),
+                                     axis=1))
 
     def contains_union(self, x, slack=0.0):
-        for i in self.index.stab(x):
+        for i in self.candidates(x):
             if self.polytopes[i].contains(x, slack):
                 return True
         return False
@@ -530,17 +385,13 @@ def stab_query(polymap, x):
 
     Returns None when x is outside the union.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
-    best, best_depth = None, -np.inf
-    for i in polymap.candidates(x):
-        d = polymap.polytopes[i].depth(x)
-        if d >= 0.0 and d > best_depth:
-            best, best_depth = int(i), d
-    return best
+    hits = stab_all(polymap, x)
+    return hits[0] if hits else None
 
 
 def stab_all(polymap, x):
-    """All polytope indices containing x, deepest first."""
+    """All polytope indices containing x, deepest first, ties to the
+    lowest index."""
     x = np.asarray(x, dtype=float).reshape(3)
     hits = [(polymap.polytopes[i].depth(x), int(i)) for i in polymap.candidates(x)]
     hits = [(d, i) for d, i in hits if d >= 0.0]
@@ -614,19 +465,7 @@ def polyhedronize(obstacles, epsilon, rng, local_halfwidth=40.0,
     bounds = obstacles.bounds
     window = int(np.ceil(10.0 / epsilon))
     accept_limit = int(np.ceil(epsilon * window))
-    polys, boxes = [], []
-    box_los = np.empty((0, 3))
-    box_his = np.empty((0, 3))
-
-    def covered(x):
-        if not polys:
-            return False
-        m = np.all((box_los <= x) & (x <= box_his), axis=1)
-        for i in np.flatnonzero(m):
-            if polys[i].contains(x):
-                return True
-        return False
-
+    cover = PolyMap([], epsilon, bounds)
     attempts = 0
     free_seen = 0
     for _ in range(max_rounds):
@@ -642,7 +481,7 @@ def polyhedronize(obstacles, epsilon, rng, local_halfwidth=40.0,
             is_free = bool(obstacles.free_mask(x.reshape(1, 3))[0])
             free_seen += is_free
             accept = False
-            if is_free and not covered(x):
+            if is_free and not cover.contains_union(x):
                 box = Aabb(np.maximum(x - local_halfwidth, bounds.lo),
                            np.minimum(x + local_halfwidth, bounds.hi))
                 try:
@@ -650,10 +489,8 @@ def polyhedronize(obstacles, epsilon, rng, local_halfwidth=40.0,
                 except SeedOccupied:
                     poly = None
                 if poly is not None:
-                    polys.append(poly)
-                    boxes.append(_polytope_aabb(poly))
-                    box_los = np.array([b.lo for b in boxes])
-                    box_his = np.array([b.hi for b in boxes])
+                    cover = PolyMap(cover.polytopes + [poly], epsilon, bounds,
+                                    cover.boxes + [_polytope_aabb(poly)])
                     accept = True
             if len(recent) == window:
                 accepted_recent -= recent[0]
@@ -663,15 +500,19 @@ def polyhedronize(obstacles, epsilon, rng, local_halfwidth=40.0,
                 break
         if free_seen == 0:
             raise NoFreeSpace("scene bounds contain no free space")
-        fill = _fill_estimate(obstacles, polys, box_los, box_his, rng, mc_samples)
-        if fill >= 1.0 - epsilon or attempts >= attempt_budget:
-            return PolyMap(polys, epsilon, bounds, boxes, fill_estimate=fill)
-    return PolyMap(polys, epsilon, bounds, boxes, fill_estimate=fill)
+        cover.fill_estimate = _fill_estimate(obstacles, cover, rng, mc_samples)
+        if cover.fill_estimate >= 1.0 - epsilon or attempts >= attempt_budget:
+            break
+    return cover
 
 
-def _fill_estimate(obstacles, polys, box_los, box_his, rng, n_samples):
-    """Fraction of free-space samples covered by the polytope union."""
-    if not polys:
+def _fill_estimate(obstacles, cover, rng, n_samples):
+    """Fraction of n_samples uniform free-space samples inside the cover.
+
+    Samples are drawn from the scene bounds in batches and the occupied
+    ones dropped; raises NoFreeSpace when 200 batches yield none.
+    """
+    if not cover.polytopes:
         return 0.0
     bounds = obstacles.bounds
     got = 0
@@ -685,19 +526,7 @@ def _fill_estimate(obstacles, polys, box_los, box_his, rng, n_samples):
             continue
         pts = pts[: n_samples - got]
         got += len(pts)
-        inside = np.zeros(len(pts), dtype=bool)
-        for i, poly in enumerate(polys):
-            todo = ~inside
-            if not np.any(todo):
-                break
-            sub = pts[todo]
-            in_box = np.all((sub >= box_los[i]) & (sub <= box_his[i]), axis=1)
-            if not np.any(in_box):
-                continue
-            ok = np.zeros(len(sub), dtype=bool)
-            ok[in_box] = poly.contains_many(sub[in_box])
-            inside[np.flatnonzero(todo)[ok]] = True
-        hit += int(np.sum(inside))
+        hit += int(np.sum(cover.union_mask(pts)))
     if got == 0:
         raise NoFreeSpace("could not draw free samples for the fill estimate")
     return hit / got

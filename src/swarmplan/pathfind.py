@@ -71,22 +71,11 @@ class Corridor:
         return [polymap.polytopes[i] for i in self.ids]
 
 
-def _sample_in_union(polymap: geom.PolyMap, rng, tries: int = 64):
-    lo, hi = polymap.bounds.lo, polymap.bounds.hi
-    for _ in range(tries):
-        p = rng.uniform(lo, hi)
-        if polymap.contains_union(p):
-            return p
-    return None
-
-
-def _informed_sample(rng, p_start, p_goal, c_best, c_min):
-    """Uniform sample from the prolate spheroid with foci at the endpoints."""
+def _informed_frame(p_start, p_goal, c_min):
+    """Centre and rotation (e1 to the start-goal axis) of the informed
+    spheroid; fixed for one search."""
     center = 0.5 * (p_start + p_goal)
     a1 = (p_goal - p_start) / max(c_min, 1e-300)
-    r1 = c_best / 2.0
-    r23 = np.sqrt(max(c_best * c_best - c_min * c_min, 0.0)) / 2.0
-    # Rotation taking e1 to the transverse axis.
     e1 = np.array([1.0, 0.0, 0.0])
     v = np.cross(e1, a1)
     s = np.linalg.norm(v)
@@ -96,6 +85,15 @@ def _informed_sample(rng, p_start, p_goal, c_best, c_min):
     else:
         vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
         rot = np.eye(3) + vx + vx @ vx * ((1.0 - c) / (s * s))
+    return center, rot
+
+
+def _informed_sample(rng, frame, c_best, c_min):
+    """Uniform sample from the prolate spheroid with foci at the endpoints,
+    in the (center, rot) frame of _informed_frame."""
+    center, rot = frame
+    r1 = c_best / 2.0
+    r23 = np.sqrt(max(c_best * c_best - c_min * c_min, 0.0)) / 2.0
     # Uniform point in the unit ball.
     u = rng.normal(size=3)
     u /= max(np.linalg.norm(u), 1e-300)
@@ -156,6 +154,7 @@ def informed_rrt_star(polymap: geom.PolyMap, p_start, p_goal, rng, *,
     lo, hi = polymap.bounds.lo, polymap.bounds.hi
     vol = float(np.prod(hi - lo))
     gamma = 2.0 * (vol / (4.0 * np.pi / 3.0)) ** (1.0 / 3.0)
+    frame = _informed_frame(p_start, p_goal, c_min)
 
     it = 0
     while it < cap:
@@ -163,7 +162,7 @@ def informed_rrt_star(polymap: geom.PolyMap, p_start, p_goal, rng, *,
         if np.isfinite(best_cost):
             if best_cost <= c_min * (1.0 + 1e-6):
                 break
-            sample = _informed_sample(rng, p_start, p_goal, best_cost, c_min)
+            sample = _informed_sample(rng, frame, best_cost, c_min)
             if not (np.all(sample >= lo) and np.all(sample <= hi)):
                 continue
         elif rng.uniform() < goal_bias:

@@ -147,30 +147,39 @@ class TestGeneratePolytope:
                                    geom.Aabb([-1, -1, -1], [1, 1, 1]))
 
 
-class TestSegmentTree:
-    def test_stab_matches_linear_scan(self):
+def box_polymap(los, his):
+    """PolyMap whose polytopes are the given boxes."""
+    boxes = [geom.Aabb(lo, hi) for lo, hi in zip(los, his)]
+    polys = [geom.HalfspacePolytope.from_aabb(b) for b in boxes]
+    return geom.PolyMap(polys, 1e-2, geom.Aabb([-10, -10, -10], [120, 120, 120]),
+                        boxes)
+
+
+class TestBoxFilter:
+    def test_candidates_match_linear_scan(self):
         rng = np.random.default_rng(7)
         n = 150
         los = rng.uniform(0, 80, size=(n, 3))
         his = los + rng.uniform(0.5, 25, size=(n, 3))
-        index = geom.SegmentTreeIndex(los, his)
+        polymap = box_polymap(los, his)
         for _ in range(300):
             x = rng.uniform(-5, 110, size=3)
-            got = index.stab(x)
+            got = polymap.candidates(x)
             want = oracles.linear_scan_boxes(los, his, x)
             assert np.array_equal(got, want)
 
-    def test_stab_includes_boundaries(self):
+    def test_candidates_include_boundaries(self):
         los = np.array([[0.0, 0.0, 0.0]])
         his = np.array([[1.0, 1.0, 1.0]])
-        index = geom.SegmentTreeIndex(los, his)
-        assert np.array_equal(index.stab([1.0, 1.0, 1.0]), [0])
-        assert np.array_equal(index.stab([0.0, 0.5, 0.5]), [0])
-        assert len(index.stab([1.0000001, 0.5, 0.5])) == 0
+        polymap = box_polymap(los, his)
+        assert np.array_equal(polymap.candidates([1.0, 1.0, 1.0]), [0])
+        assert np.array_equal(polymap.candidates([0.0, 0.5, 0.5]), [0])
+        assert len(polymap.candidates([1.0000001, 0.5, 0.5])) == 0
 
-    def test_empty_index(self):
-        index = geom.SegmentTreeIndex(np.empty((0, 3)), np.empty((0, 3)))
-        assert len(index.stab([0, 0, 0])) == 0
+    def test_empty_map(self):
+        polymap = geom.PolyMap([], 1e-2, geom.Aabb([-1, -1, -1], [1, 1, 1]))
+        assert len(polymap.candidates([0, 0, 0])) == 0
+        assert not polymap.contains_union([0, 0, 0])
 
 
 class TestPolyMapQueries:

@@ -87,6 +87,24 @@ def _inside_union(polymap, pts):
     return bool(np.all(polymap.union_mask(np.asarray(pts))))
 
 
+class TestInformedSample:
+    def test_samples_lie_in_spheroid(self):
+        rng = np.random.default_rng(12)
+        # Random foci, plus foci along +e1 and -e1 (the rotation's special
+        # cases).
+        x0 = np.array([5.0, 2.0, -1.0])
+        foci = [(x0, x0 + [20.0, 0.0, 0.0]), (x0, x0 - [20.0, 0.0, 0.0])]
+        foci += [tuple(rng.uniform(-50, 50, size=(2, 3))) for _ in range(40)]
+        for p_start, p_goal in foci:
+            c_min = float(np.linalg.norm(p_goal - p_start))
+            c_best = c_min * float(rng.choice([1.0, rng.uniform(1.0, 3.0)]))
+            frame = pathfind._informed_frame(p_start, p_goal, c_min)
+            for _ in range(50):
+                x = pathfind._informed_sample(rng, frame, c_best, c_min)
+                dist = np.linalg.norm(x - p_start) + np.linalg.norm(x - p_goal)
+                assert dist <= c_best + 1e-9
+
+
 class TestRrtStar:
     def test_trivial_straight_line(self, box_map):
         rng = np.random.default_rng(1)
