@@ -26,7 +26,7 @@ from .optimize import (CoordinateChart, SolveOptions, SolveReport,
                        StampedProfile, chart_build, chart_invert,
                        chart_objective, plan_mission, post_check, solve,
                        temporal_schedule)
-from .pathfind import (Corridor, Path, corridor_from_path, informed_rrt_star,
+from .pathfind import (Corridor, Path, corridor_from_path, corridor_search,
                        shortest_path_refine, trapezoidal_allocation)
 from .penalty import (ConstantYaw, PenaltyConfig, SafetyMargins, TangentYaw,
                       check_equivalent_criterion, composite, phi)
@@ -45,8 +45,8 @@ __all__ = [
     "SolveReport", "StampedProfile", "StateInput", "TangentYaw", "Unbounded",
     "VehicleModel", "chart_build", "chart_invert", "chart_objective",
     "check_equivalent_criterion", "chebyshev_like_center", "composite",
-    "construct", "corridor_from_path", "flat_batch", "flatness_map",
-    "generate_polytope", "informed_rrt_star", "integrate_dynamics",
+    "construct", "corridor_from_path", "corridor_search", "flat_batch",
+    "flatness_map", "generate_polytope", "integrate_dynamics",
     "load_config", "min_pairwise_distance", "plan_mission", "phi",
     "polyhedronize", "post_check", "robustness_experiment", "segment_inside",
     "shortest_path_refine", "solve", "stab_all", "stab_query",

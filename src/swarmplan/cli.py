@@ -125,11 +125,7 @@ def cmd_fleet(args) -> int:
             traj, report = optimize.plan_mission(
                 polymap, mission, db.trajectories(), model=model,
                 limits=limits, margins=margins, pconfig=pconfig, rng=rng,
-                options=options, a_max=cfg.a_max(),
-                rrt_step=cfg.search.rrt_step,
-                rrt_budget=cfg.search.rrt_budget,
-                informed_budget=cfg.search.informed_budget,
-                sched_dt=sched_dt)
+                options=options, a_max=cfg.a_max(), sched_dt=sched_dt)
             db.commit(mission.id, traj)
             fname = f"traj_{mission.id}.json"
             io.save_trajectory(os.path.join(args.out, fname), traj)

@@ -75,9 +75,6 @@ class MapSection:
 
 @dataclass
 class SearchSection:
-    rrt_step: float = 5.0
-    rrt_budget: int = 20000
-    informed_budget: int = 5000
     sched_dt: float = 0.0      # 0 selects the margin-derived default
     a_max: float = 0.0         # 0 selects Limits.accel_cap
 

@@ -21,7 +21,8 @@ class CoverageGap(PlanningError):
 
 
 class NoPath(PlanningError):
-    """Sampling budget exhausted without connecting start and goal."""
+    """Start or goal lies outside the cover, or no chain of overlapping
+    polytopes joins them."""
 
 
 class EmptyIntersection(PlanningError):

@@ -7,9 +7,9 @@ Contents:
     PolyMap              polytope union covering free space; owns the one
                          box filter (per-polytope bounding boxes) in front
                          of every point and segment query
-    module operations    analytic centers, vertex enumeration, tangent-plane
-                         polytope growth, map polyhedronization, stab queries,
-                         segment containment
+    module operations    analytic centers, vertex enumeration, pairwise
+                         intersections, tangent-plane polytope growth, map
+                         polyhedronization, stab queries, segment containment
 """
 
 from collections import deque
@@ -215,6 +215,15 @@ def vertex_enumeration(polytope, interior=None):
     return _merge_close(verts, VERTEX_MERGE_TOL)
 
 
+def intersection(pa, pb):
+    """pa and pb's intersection as one halfspace system, with its analytic
+    center and its vertices.  Raises EmptyInterior when it has no interior."""
+    raw = HalfspacePolytope(np.vstack([pa.normals, pb.normals]),
+                            np.concatenate([pa.offsets, pb.offsets]))
+    center = chebyshev_like_center(raw)
+    return raw, center, np.asarray(vertex_enumeration(raw, center))
+
+
 def _merge_close(pts, tol):
     kept = []
     for p in pts:
@@ -347,6 +356,7 @@ class PolyMap:
         self.fill_estimate = fill_estimate
         self.box_los = np.array([b.lo for b in self.boxes]).reshape(-1, 3)
         self.box_his = np.array([b.hi for b in self.boxes]).reshape(-1, 3)
+        self.junctions = None  # pathfind's junction graph, built on demand
 
     def candidates(self, x):
         """Ascending indices of the polytopes whose box holds x, boundaries

@@ -1,23 +1,22 @@
 """Guiding paths through the free-space cover.
 
-Provides sampling-based shortest-path search over the polytope union,
-corridor extraction along a path, junction-waypoint refinement, and a
+The cover is searched as a graph of convex sets (Marcucci et al., arXiv
+2101.11565): the junctions, pairwise polytope intersections with an
+interior, give the graph its points, and a straight hop inside one polytope
+its edges.  Provides that deterministic shortest-chain search, corridor
+extraction along a straight path, junction-waypoint refinement, and a
 rest-to-rest duration seed for trajectory optimization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geom
-from .errors import CoverageGap, NoPath
+from .errors import CoverageGap, EmptyInterior, NoPath
 
-DEFAULT_STEP = 5.0
-DEFAULT_BUDGET = 20000
-DEFAULT_INFORMED_BUDGET = 5000
-GOAL_BIAS = 0.05
 MIN_LEG_DURATION = 1e-2
 
 
@@ -71,152 +70,99 @@ class Corridor:
         return [polymap.polytopes[i] for i in self.ids]
 
 
-def _informed_frame(p_start, p_goal, c_min):
-    """Centre and rotation (e1 to the start-goal axis) of the informed
-    spheroid; fixed for one search."""
-    center = 0.5 * (p_start + p_goal)
-    a1 = (p_goal - p_start) / max(c_min, 1e-300)
-    e1 = np.array([1.0, 0.0, 0.0])
-    v = np.cross(e1, a1)
-    s = np.linalg.norm(v)
-    c = float(e1 @ a1)
-    if s < 1e-12:
-        rot = np.eye(3) if c > 0 else np.diag([-1.0, -1.0, 1.0])
-    else:
-        vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-        rot = np.eye(3) + vx + vx @ vx * ((1.0 - c) / (s * s))
-    return center, rot
+def junction_graph(polymap: geom.PolyMap):
+    """Points and owners of the cover's junction graph, built on first use
+    and kept on polymap.
 
-
-def _informed_sample(rng, frame, c_best, c_min):
-    """Uniform sample from the prolate spheroid with foci at the endpoints,
-    in the (center, rot) frame of _informed_frame."""
-    center, rot = frame
-    r1 = c_best / 2.0
-    r23 = np.sqrt(max(c_best * c_best - c_min * c_min, 0.0)) / 2.0
-    # Uniform point in the unit ball.
-    u = rng.normal(size=3)
-    u /= max(np.linalg.norm(u), 1e-300)
-    u *= rng.uniform() ** (1.0 / 3.0)
-    return center + rot @ (np.array([r1, r23, r23]) * u)
-
-
-def _shortcut(polymap: geom.PolyMap, pts: np.ndarray) -> np.ndarray:
-    out = [pts[0]]
-    i = 0
-    n = len(pts)
-    while i < n - 1:
-        j = n - 1
-        while j > i + 1:
-            if geom.segment_inside(polymap, pts[i], pts[j]):
-                break
-            j -= 1
-        out.append(pts[j])
-        i = j
-    return np.asarray(out)
-
-
-def informed_rrt_star(polymap: geom.PolyMap, p_start, p_goal, rng, *,
-                      step: float = DEFAULT_STEP,
-                      budget: int = DEFAULT_BUDGET,
-                      informed_budget: int = DEFAULT_INFORMED_BUDGET,
-                      goal_bias: float = GOAL_BIAS,
-                      cost_trace=None) -> Path:
-    """Shortest collision-free path over the polytope union.
-
-    Tree growth uses uniform sampling until the first solution, then
-    switches to the informed spheroid for the remaining budget.  The
-    returned path is shortcut-smoothed.  Raises NoPath when the endpoints
-    are not covered or the budget is exhausted without a connection.
+    A junction is a pairwise polytope intersection with an interior; each
+    gives its vertices and its analytic centre as points, and owners holds
+    the two polytope ids of each point.  Two points are joined when they
+    share an owner: the straight hop between them lies in that polytope.
     """
-    p_start = np.asarray(p_start, dtype=float)
-    p_goal = np.asarray(p_goal, dtype=float)
+    if polymap.junctions is None:
+        los, his = polymap.box_los, polymap.box_his
+        overlap = np.all((los[:, None] <= his[None])
+                         & (los[None] <= his[:, None]), axis=2)
+        points, owners = [np.zeros((0, 3))], [np.zeros((0, 2), dtype=int)]
+        for a, b in zip(*np.nonzero(np.triu(overlap, 1))):
+            try:
+                _, center, V = geom.intersection(polymap.polytopes[a],
+                                                 polymap.polytopes[b])
+            except EmptyInterior:
+                continue
+            points.append(np.vstack([V, center]))
+            owners.append(np.tile([a, b], (len(V) + 1, 1)))
+        polymap.junctions = (np.vstack(points), np.vstack(owners))
+    return polymap.junctions
+
+
+def corridor_search(polymap: geom.PolyMap, p_start, p_goal):
+    """Shortest guiding chain and its corridor, as (Path, Corridor).
+
+    With line of sight the chain is the straight segment, and its corridor
+    comes from corridor_from_path.  Otherwise Dijkstra runs over the
+    junction graph with the start and the goal added, each owned by the
+    polytopes that contain it, and edges weighted by Euclidean length.  The
+    polytope of each hop gives Corridor.ids and the junction points between
+    hops its switch_points.  Raises NoPath when an endpoint lies outside the
+    cover or no chain of overlapping polytopes joins them.
+    """
+    p_start = np.asarray(p_start, dtype=float).reshape(3)
+    p_goal = np.asarray(p_goal, dtype=float).reshape(3)
     if not polymap.contains_union(p_start):
         raise NoPath("start point is outside the free-space cover")
     if not polymap.contains_union(p_goal):
         raise NoPath("goal point is outside the free-space cover")
-    c_min = float(np.linalg.norm(p_goal - p_start))
-    if c_min <= 1e-12:
-        return Path([p_start])
     if geom.segment_inside(polymap, p_start, p_goal):
-        return Path([p_start, p_goal])
+        path = Path([p_start, p_goal])
+        return path, corridor_from_path(polymap, path)
 
-    cap = budget + informed_budget
-    nodes = np.empty((cap + 2, 3))
-    parent = np.full(cap + 2, -1, dtype=int)
-    cost = np.full(cap + 2, np.inf)
-    nodes[0] = p_start
-    cost[0] = 0.0
-    n = 1
-    best_cost = np.inf
-    best_parent = -1
-
-    lo, hi = polymap.bounds.lo, polymap.bounds.hi
-    vol = float(np.prod(hi - lo))
-    gamma = 2.0 * (vol / (4.0 * np.pi / 3.0)) ** (1.0 / 3.0)
-    frame = _informed_frame(p_start, p_goal, c_min)
-
-    it = 0
-    while it < cap:
-        it += 1
-        if np.isfinite(best_cost):
-            if best_cost <= c_min * (1.0 + 1e-6):
-                break
-            sample = _informed_sample(rng, frame, best_cost, c_min)
-            if not (np.all(sample >= lo) and np.all(sample <= hi)):
-                continue
-        elif rng.uniform() < goal_bias:
-            sample = p_goal
-        else:
-            sample = rng.uniform(lo, hi)
-        if not polymap.contains_union(sample):
-            continue
-
-        d2 = np.sum((nodes[:n] - sample) ** 2, axis=1)
-        ni = int(np.argmin(d2))
-        dist = float(np.sqrt(d2[ni]))
-        if dist <= 1e-12:
-            continue
-        new = sample if dist <= step else nodes[ni] + (sample - nodes[ni]) * (step / dist)
-        if not geom.segment_inside(polymap, nodes[ni], new):
-            continue
-
-        # Choose the cheapest valid parent in the neighborhood, then rewire.
-        r = min(gamma * (np.log(n + 1.0) / (n + 1.0)) ** (1.0 / 3.0), 4.0 * step)
-        d2new = np.sum((nodes[:n] - new) ** 2, axis=1)
-        near = np.flatnonzero(d2new <= r * r)
-        best_i, best_c = ni, cost[ni] + float(np.linalg.norm(new - nodes[ni]))
-        for j in near:
-            cj = cost[j] + float(np.sqrt(d2new[j]))
-            if cj < best_c and geom.segment_inside(polymap, nodes[j], new):
-                best_i, best_c = int(j), cj
-        nodes[n] = new
-        parent[n] = best_i
-        cost[n] = best_c
-        for j in near:
-            cj = best_c + float(np.sqrt(d2new[j]))
-            if cj + 1e-12 < cost[j] and geom.segment_inside(polymap, new, nodes[j]):
-                parent[j] = n
-                cost[j] = cj
-        gd = float(np.linalg.norm(p_goal - new))
-        if gd <= step and best_c + gd < best_cost and geom.segment_inside(polymap, new, p_goal):
-            best_cost = best_c + gd
-            best_parent = n
-        n += 1
-        if cost_trace is not None and np.isfinite(best_cost):
-            cost_trace.append(best_cost)
-        if n >= cap:
+    # Node 0 is the start, node 1 the goal, node k + 2 junction point k.
+    junction_pts, junction_owners = junction_graph(polymap)
+    ends = [geom.stab_all(polymap, p_start), geom.stab_all(polymap, p_goal)]
+    points = np.vstack([p_start, p_goal, junction_pts])
+    dist = np.full(len(points), np.inf)
+    dist[0] = 0.0
+    prev = np.full(len(points), -1)
+    via = np.full(len(points), -1)
+    done = np.zeros(len(points), dtype=bool)
+    while True:
+        open_dist = np.where(done, np.inf, dist)
+        u = int(np.argmin(open_dist))
+        if not np.isfinite(open_dist[u]):
+            raise NoPath(f"no chain of overlapping polytopes joins the start "
+                         f"(in polytopes {ends[0]}) to the goal (in "
+                         f"polytopes {ends[1]})")
+        if u == 1:
             break
+        done[u] = True
+        for pid in ends[u] if u < 2 else junction_owners[u - 2]:
+            idx = np.concatenate([
+                [k for k in (0, 1) if pid in ends[k]],
+                2 + np.flatnonzero(np.any(junction_owners == pid, axis=1))
+            ]).astype(int)
+            cost = dist[u] + np.linalg.norm(points[idx] - points[u], axis=1)
+            better = cost < dist[idx]
+            dist[idx[better]] = cost[better]
+            prev[idx[better]] = u
+            via[idx[better]] = pid
 
-    if not np.isfinite(best_cost):
-        raise NoPath("no path found within the sampling budget")
-    chain = [p_goal]
-    k = best_parent
-    while k >= 0:
-        chain.append(nodes[k].copy())
-        k = parent[k]
+    chain, hops = [1], []
+    while chain[-1] != 0:
+        hops.append(int(via[chain[-1]]))
+        chain.append(int(prev[chain[-1]]))
     chain.reverse()
-    return Path(_shortcut(polymap, np.asarray(chain)))
+    hops.reverse()
+    # A point between two hops in one polytope lies on their straight line.
+    ids, switches = [hops[0]], []
+    for k in range(1, len(hops)):
+        if hops[k] != ids[-1]:
+            ids.append(hops[k])
+            switches.append(points[chain[k]])
+    switch_points = np.asarray(switches, dtype=float).reshape(-1, 3)
+    path = Path(np.vstack([p_start, switch_points, p_goal]))
+    return path, Corridor(ids=ids, switch_points=switch_points,
+                          p_start=p_start, p_goal=p_goal)
 
 
 def _advance_limit(poly: geom.HalfspacePolytope, path: Path, l0: float,
@@ -297,8 +243,11 @@ def shortest_path_refine(polymap: geom.PolyMap, corridor: Corridor, *,
 
     Each interior waypoint lives in the intersection of its two corridor
     polytopes, parameterized by convex vertex weights.  The objective is
-    sum of sqrt(leg^2 + delta), smooth everywhere.  Returns the junction
-    waypoints; the result never exceeds the guiding chain length.
+    sum of sqrt(leg^2 + delta), smooth everywhere.  The search starts from
+    each junction's vertex centroid (every xi = 1): a weight that starts at
+    0 has zero gradient under the chart and would never move, so a guide of
+    junction vertices cannot seed it.  Returns the junction waypoints; the
+    result never exceeds the guiding chain length.
     """
     from . import optimize
     from . import solver as _solver
@@ -324,9 +273,8 @@ def shortest_path_refine(polymap: geom.PolyMap, corridor: Corridor, *,
         dq = diffs[:-1] / lens[:-1, None] - diffs[1:] / lens[1:, None]
         return f, chart.pullback(xis, q, dq)
 
-    x0 = chart.join(chart.invert_points(corridor.switch_points))
-    res = _solver.minimize(fg, x0, gtol=gtol, gtol_is_relative=False,
-                           max_iter=400)
+    res = _solver.minimize(fg, np.ones(chart.dim), gtol=gtol,
+                           gtol_is_relative=False, max_iter=400)
     q = chart.map_points(chart.split(res.x))
     if chain_length(q) > chain_length(corridor.switch_points) + 1e-12:
         return corridor.switch_points.copy()

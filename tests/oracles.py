@@ -173,6 +173,57 @@ def hull_contains(vertices, pts, tol=1e-7):
     return np.all(val <= tol, axis=1)
 
 
+def clique_graph_distance(points, owners, src, dst):
+    """Shortest distance from points[src] to points[dst] when every two
+    points that share an owner are joined by a straight edge, by scipy's
+    Dijkstra over the explicit edge list."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    points = np.asarray(points, dtype=float)
+    pairs = set()
+    for i in range(len(points)):
+        for j in range(len(points)):
+            if i != j and set(owners[i]) & set(owners[j]):
+                pairs.add((i, j))
+    rows, cols = np.array(sorted(pairs)).T
+    w = np.linalg.norm(points[rows] - points[cols], axis=1)
+    graph = coo_matrix((w, (rows, cols)), shape=(len(points),) * 2).tocsr()
+    return float(dijkstra(graph, indices=src)[dst])
+
+
+def shortest_chain_length(p_start, p_goal, polys, q0):
+    """Length of the shortest chain p_start, q_1 .. q_m, p_goal with each
+    q_i in polys[i], by SLSQP on the points themselves from q0."""
+    from scipy.optimize import minimize
+
+    p_start = np.asarray(p_start, dtype=float)
+    p_goal = np.asarray(p_goal, dtype=float)
+    m = len(polys)
+
+    def length(x):
+        pts = np.vstack([p_start, x.reshape(m, 3), p_goal])
+        return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+
+    def grad(x):
+        pts = np.vstack([p_start, x.reshape(m, 3), p_goal])
+        d = np.diff(pts, axis=0)
+        u = d / np.maximum(np.linalg.norm(d, axis=1), 1e-300)[:, None]
+        return (u[:-1] - u[1:]).ravel()
+
+    cons = [{"type": "ineq",
+             "fun": lambda x, i=i: (polys[i].offsets
+                                    - polys[i].normals @ x[3 * i:3 * i + 3]),
+             "jac": lambda x, i=i: np.hstack([
+                 np.zeros((polys[i].nfaces, 3 * i)), -polys[i].normals,
+                 np.zeros((polys[i].nfaces, 3 * (m - i - 1)))])}
+            for i in range(m)]
+    res = minimize(length, np.asarray(q0, dtype=float).ravel(), jac=grad,
+                   method="SLSQP", constraints=cons,
+                   options={"ftol": 1e-13, "maxiter": 2000})
+    return length(res.x)
+
+
 # ---------------------------------------------------------------------------
 # rest-to-rest speed profile closed forms
 

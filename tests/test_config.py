@@ -11,6 +11,7 @@ from swarmplan.dynamics import Limits, VehicleModel
     ({"vehicle": {"mass": 2.0}}, "unknown keys in section 'vehicle'"),
     ({"vehicle": 2.0}, "section 'vehicle' must be an object"),
     ({"search": {"sched_budget": 4000}}, "unknown keys in section 'search'"),
+    ({"search": {"rrt_budget": 20000}}, "unknown keys in section 'search'"),
 ])
 def test_rejects_typos(data, message):
     with pytest.raises(ValueError, match=message):

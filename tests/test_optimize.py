@@ -34,11 +34,8 @@ from swarmplan.penalty import PenaltyConfig
 
 @pytest.fixture(scope="module")
 def pillar_setup(pillar_map):
-    rng = np.random.default_rng(30)
-    path = pathfind.informed_rrt_star(pillar_map, [5, 5, 10], [95, 95, 10],
-                                      rng, step=5.0, budget=2500,
-                                      informed_budget=500)
-    corridor = pathfind.corridor_from_path(pillar_map, path)
+    path, corridor = pathfind.corridor_search(pillar_map, [5, 5, 10],
+                                              [95, 95, 10])
     chart = chart_build(corridor, pillar_map)
     return pillar_map, path, corridor, chart
 
@@ -502,6 +499,19 @@ class TestPlanMission:
         rows = db.final_audit()
         assert len(rows) == 1
         assert rows[0][2] >= -1e-3
+
+    def test_obstructed_plan_ignores_rng(self, pillar_map, model, limits,
+                                         margins, pconfig):
+        # No line of sight: the corridor comes from the junction graph.
+        mission = fleet.Mission(id="p", p_o=[15, 87, 16], p_f=[18, 29, 29],
+                                t_o=0.0)
+        trajs = [plan_mission(pillar_map, mission, [], model=model,
+                              limits=limits, margins=margins,
+                              pconfig=pconfig,
+                              rng=np.random.default_rng(seed))[0]
+                 for seed in (1, 2)]
+        assert np.array_equal(trajs[0].T, trajs[1].T)
+        assert np.array_equal(trajs[0].coeffs, trajs[1].coeffs)
 
     def test_parallel_clear_mission_skips_schedule(self, box_map, model,
                                                    limits, margins, pconfig,

@@ -1,4 +1,7 @@
-"""Sampling planner, corridor extraction, refinement, and time allocation."""
+"""Junction-graph search, corridor extraction, refinement, and time
+allocation."""
+
+import time
 
 import numpy as np
 import pytest
@@ -7,10 +10,12 @@ import oracles
 
 from swarmplan import geom, pathfind
 from swarmplan.errors import CoverageGap, NoPath
+from swarmplan.geom import Aabb, HalfspacePolytope
+from swarmplan.optimize import chart_build
 from swarmplan.pathfind import (
     Path,
     corridor_from_path,
-    informed_rrt_star,
+    corridor_search,
     profile_total_time,
     shortest_path_refine,
     trapezoidal_allocation,
@@ -87,36 +92,24 @@ def _inside_union(polymap, pts):
     return bool(np.all(polymap.union_mask(np.asarray(pts))))
 
 
-class TestInformedSample:
-    def test_samples_lie_in_spheroid(self):
-        rng = np.random.default_rng(12)
-        # Random foci, plus foci along +e1 and -e1 (the rotation's special
-        # cases).
-        x0 = np.array([5.0, 2.0, -1.0])
-        foci = [(x0, x0 + [20.0, 0.0, 0.0]), (x0, x0 - [20.0, 0.0, 0.0])]
-        foci += [tuple(rng.uniform(-50, 50, size=(2, 3))) for _ in range(40)]
-        for p_start, p_goal in foci:
-            c_min = float(np.linalg.norm(p_goal - p_start))
-            c_best = c_min * float(rng.choice([1.0, rng.uniform(1.0, 3.0)]))
-            frame = pathfind._informed_frame(p_start, p_goal, c_min)
-            for _ in range(50):
-                x = pathfind._informed_sample(rng, frame, c_best, c_min)
-                dist = np.linalg.norm(x - p_start) + np.linalg.norm(x - p_goal)
-                assert dist <= c_best + 1e-9
+def _u_cover():
+    """Three boxes in a U: along y < 4, up x > 6 and back along y > 16."""
+    boxes = [Aabb([0, 0, 0], [10, 4, 4]), Aabb([6, 0, 0], [10, 20, 4]),
+             Aabb([0, 16, 0], [10, 20, 4])]
+    return geom.PolyMap([HalfspacePolytope.from_aabb(b) for b in boxes],
+                        1e-2, Aabb([0, 0, 0], [10, 20, 4]))
 
 
-class TestRrtStar:
+class TestCorridorSearch:
     def test_trivial_straight_line(self, box_map):
-        rng = np.random.default_rng(1)
-        path = informed_rrt_star(box_map, [5, 5, 5], [55, 55, 25], rng)
+        path, corr = corridor_search(box_map, [5, 5, 5], [55, 55, 25])
         assert len(path.waypoints) == 2
         assert path.length == pytest.approx(np.linalg.norm(
             np.array([50.0, 50.0, 20.0])))
+        assert len(corr.switch_points) == len(corr.ids) - 1
 
     def test_pillars_path_stays_inside(self, pillar_map):
-        rng = np.random.default_rng(2)
-        path = informed_rrt_star(pillar_map, [5, 5, 10], [95, 95, 10], rng,
-                                 step=5.0, budget=2500, informed_budget=500)
+        path, _ = corridor_search(pillar_map, [5, 5, 10], [95, 95, 10])
         assert np.allclose(path.waypoints[0], [5, 5, 10])
         assert np.allclose(path.waypoints[-1], [95, 95, 10])
         assert path.length >= np.linalg.norm(np.array([90.0, 90.0, 0.0])) - 1e-9
@@ -124,9 +117,7 @@ class TestRrtStar:
         assert _inside_union(pillar_map, samples)
 
     def test_through_gap(self, gap_map):
-        rng = np.random.default_rng(3)
-        path = informed_rrt_star(gap_map, [20, 80, 15], [180, 80, 15], rng,
-                                 step=5.0, budget=3500, informed_budget=800)
+        path, _ = corridor_search(gap_map, [20, 80, 15], [180, 80, 15])
         samples = path.at(np.linspace(0.0, path.length, 600))
         assert _inside_union(gap_map, samples)
         # Every crossing of the wall slab must happen inside the window.
@@ -134,34 +125,52 @@ class TestRrtStar:
         assert np.all(samples[in_wall, 1] > 70.0)
         assert np.all(samples[in_wall, 1] < 90.0)
 
-    def test_uncovered_endpoints_raise(self, gap_map):
-        rng = np.random.default_rng(4)
-        with pytest.raises(NoPath):
-            informed_rrt_star(gap_map, [100, 20, 15], [180, 80, 15], rng)
-        with pytest.raises(NoPath):
-            informed_rrt_star(gap_map, [20, 80, 15], [100, 20, 15], rng)
+    def test_shortest_on_junction_graph(self):
+        cover = _u_cover()
+        p_start, p_goal = np.array([1.0, 2.0, 2.0]), np.array([1.0, 18.0, 2.0])
+        path, corr = corridor_search(cover, p_start, p_goal)
+        assert corr.ids == [0, 1, 2]
+        junction_pts, junction_owners = pathfind.junction_graph(cover)
+        points = np.vstack([p_start, p_goal, junction_pts])
+        owners = [geom.stab_all(cover, p_start),
+                  geom.stab_all(cover, p_goal)] + list(junction_owners)
+        assert path.length == pytest.approx(
+            oracles.clique_graph_distance(points, owners, 0, 1), rel=1e-12)
 
-    def test_deterministic_under_seed(self, pillar_map):
-        paths = []
-        for _ in range(2):
-            rng = np.random.default_rng(6)
-            paths.append(informed_rrt_star(
-                pillar_map, [5, 5, 10], [60, 80, 10], rng,
-                step=5.0, budget=1200, informed_budget=300))
-        assert np.array_equal(paths[0].waypoints, paths[1].waypoints)
+    def test_uncovered_endpoints_raise(self, gap_map):
+        with pytest.raises(NoPath, match="start"):
+            corridor_search(gap_map, [100, 20, 15], [180, 80, 15])
+        with pytest.raises(NoPath, match="goal"):
+            corridor_search(gap_map, [20, 80, 15], [100, 20, 15])
+
+    def test_disconnected_cover_raises_fast(self):
+        cover = geom.PolyMap(
+            [HalfspacePolytope.from_aabb(Aabb([0, 0, 0], [4, 4, 4])),
+             HalfspacePolytope.from_aabb(Aabb([6, 0, 0], [10, 4, 4]))],
+            1e-2, Aabb([0, 0, 0], [10, 4, 4]))
+        t0 = time.perf_counter()
+        with pytest.raises(NoPath, match=r"polytopes \[0\].*polytopes \[1\]"):
+            corridor_search(cover, [2, 2, 2], [8, 2, 2])
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_deterministic(self, pillar_map):
+        # A second search on a fresh copy of the cover builds its own graph.
+        fresh = geom.PolyMap(pillar_map.polytopes, pillar_map.epsilon,
+                             pillar_map.bounds, pillar_map.boxes)
+        runs = [corridor_search(m, [5, 5, 10], [60, 80, 10])
+                for m in (pillar_map, fresh)]
+        assert runs[0][1].ids == runs[1][1].ids
+        assert np.array_equal(runs[0][0].waypoints, runs[1][0].waypoints)
 
     def test_zero_length_query(self, box_map):
-        rng = np.random.default_rng(7)
-        path = informed_rrt_star(box_map, [10, 10, 10], [10, 10, 10], rng)
+        path, corr = corridor_search(box_map, [10, 10, 10], [10, 10, 10])
         assert path.length == 0.0
+        assert len(corr.ids) == 1
 
 
 @pytest.fixture(scope="module")
 def pillar_corridor(pillar_map):
-    rng = np.random.default_rng(8)
-    path = informed_rrt_star(pillar_map, [5, 5, 10], [95, 95, 10], rng,
-                             step=5.0, budget=2500, informed_budget=500)
-    return path, corridor_from_path(pillar_map, path)
+    return corridor_search(pillar_map, [5, 5, 10], [95, 95, 10])
 
 
 class TestCorridor:
@@ -210,12 +219,7 @@ class TestRefine:
             b = rng.uniform([5, 5, 5], [95, 95, 35])
             if not (pillar_map.contains_union(a) and pillar_map.contains_union(b)):
                 continue
-            try:
-                path = informed_rrt_star(pillar_map, a, b, rng, step=5.0,
-                                         budget=1200, informed_budget=300)
-                corr = corridor_from_path(pillar_map, path)
-            except (NoPath, CoverageGap):
-                continue
+            path, corr = corridor_search(pillar_map, a, b)
             q = shortest_path_refine(pillar_map, corr)
 
             def chain(pts):
@@ -233,10 +237,23 @@ class TestRefine:
                 assert polys[k + 1].contains(pt, slack=1e-6)
             done += 1
 
+    def test_vertex_seed_reaches_shortest_chain(self, pillar_map):
+        # Junction vertices as the guide: each seed weight but one is 0, and
+        # a 0 weight has no gradient under the chart.
+        p_start, p_goal = np.array([15.0, 87, 16]), np.array([18.0, 29, 29])
+        _, corr = corridor_search(pillar_map, p_start, p_goal)
+        chart = chart_build(corr, pillar_map)
+        assert chart.n_junctions >= 2
+        corr.switch_points = np.array([V[0] for V in chart.vertices])
+        q = shortest_path_refine(pillar_map, corr, chart=chart)
+        length = float(np.sum(np.linalg.norm(
+            np.diff(np.vstack([p_start, q, p_goal]), axis=0), axis=1)))
+        best = oracles.shortest_chain_length(p_start, p_goal, chart.polys,
+                                             corr.switch_points)
+        assert length == pytest.approx(best, rel=1e-6)
+
     def test_single_polytope_corridor(self, box_map):
-        rng = np.random.default_rng(10)
-        path = informed_rrt_star(box_map, [10, 10, 10], [20, 20, 20], rng)
-        corr = corridor_from_path(box_map, path)
+        _, corr = corridor_search(box_map, [10, 10, 10], [20, 20, 20])
         if len(corr.ids) == 1:
             q = shortest_path_refine(box_map, corr)
             assert q.shape == (0, 3)
