@@ -116,7 +116,6 @@ def cmd_fleet(args) -> int:
     pconfig = cfg.penalty_config()
     options = cfg.solve_options()
     db = fleetmod.FleetDb(polymap, margins)
-    sched_dt = cfg.search.sched_dt if cfg.search.sched_dt > 0.0 else None
 
     log = []
     for mission in missions:
@@ -125,7 +124,7 @@ def cmd_fleet(args) -> int:
             traj, report = optimize.plan_mission(
                 polymap, mission, db.trajectories(), model=model,
                 limits=limits, margins=margins, pconfig=pconfig, rng=rng,
-                options=options, a_max=cfg.a_max(), sched_dt=sched_dt)
+                options=options)
             db.commit(mission.id, traj)
             fname = f"traj_{mission.id}.json"
             io.save_trajectory(os.path.join(args.out, fname), traj)

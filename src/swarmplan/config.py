@@ -74,12 +74,6 @@ class MapSection:
 
 
 @dataclass
-class SearchSection:
-    sched_dt: float = 0.0      # 0 selects the margin-derived default
-    a_max: float = 0.0         # 0 selects Limits.accel_cap
-
-
-@dataclass
 class RunConfig:
     vehicle: VehicleSection = field(default_factory=VehicleSection)
     limits: LimitsSection = field(default_factory=LimitsSection)
@@ -87,7 +81,6 @@ class RunConfig:
     penalty: PenaltySection = field(default_factory=PenaltySection)
     solver: SolverSection = field(default_factory=SolverSection)
     map: MapSection = field(default_factory=MapSection)
-    search: SearchSection = field(default_factory=SearchSection)
     seed: int = 0
 
     def vehicle_model(self) -> VehicleModel:
@@ -117,11 +110,6 @@ class RunConfig:
         return SolveOptions(gtol=s.gtol, max_iter=s.max_iter, memory=s.memory,
                             mu_rounds=s.mu_rounds, mu_shrink=s.mu_shrink)
 
-    def a_max(self) -> float:
-        if self.search.a_max > 0.0:
-            return self.search.a_max
-        return self.limit_set().accel_cap(self.vehicle_model())
-
     def validate(self) -> "RunConfig":
         v, ls, ms, p = self.vehicle, self.limits, self.margins, self.penalty
         positive = {
@@ -146,7 +134,7 @@ class RunConfig:
         for wname, wval in (("w1", p.w1), ("w2", p.w2), ("w3", p.w3)):
             if wval < 0.0:
                 raise ValueError(f"penalty.{wname} must be non-negative")
-        if self.a_max() <= 0.0:
+        if self.limit_set().accel_cap(self.vehicle_model()) <= 0.0:
             raise ValueError("thrust limits leave no acceleration margin")
         bl = np.asarray(self.map.bounds_lo, dtype=float)
         bh = np.asarray(self.map.bounds_hi, dtype=float)
@@ -154,7 +142,6 @@ class RunConfig:
             raise ValueError("map bounds must be two ordered 3-vectors")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        self.limit_set()
         self.penalty_config()
         return self
 
@@ -166,7 +153,6 @@ _SECTIONS = {
     "penalty": PenaltySection,
     "solver": SolverSection,
     "map": MapSection,
-    "search": SearchSection,
 }
 
 

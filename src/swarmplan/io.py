@@ -191,10 +191,18 @@ def trajectory_from_dict(data: dict) -> minco.MincoTrajectory:
     end = minco.BoundaryState(np.asarray(be["pos"], dtype=float),
                               np.asarray(be["vel"], dtype=float),
                               np.asarray(be["acc"], dtype=float))
+    t0 = float(data["t0"])
+    if not np.isfinite(t0):
+        raise ValueError("trajectory t0 must be finite")
     T = np.array([p["duration"] for p in data["pieces"]], dtype=float)
-    coeffs = np.array([np.asarray(p["coeffs"], dtype=float).reshape(6, 3)
-                       for p in data["pieces"]])
-    return minco.MincoTrajectory(float(data["t0"]), T, coeffs, (start, end))
+    coeffs = [np.asarray(p["coeffs"], dtype=float) for p in data["pieces"]]
+    for i, (dur, c) in enumerate(zip(T, coeffs)):
+        if not (np.isfinite(dur) and dur > 0.0):
+            raise ValueError(f"trajectory piece {i}: bad duration {dur}")
+        if c.size != 18 or not np.isfinite(c).all():
+            raise ValueError(f"trajectory piece {i}: coeffs not 6 x 3 finite")
+    return minco.MincoTrajectory(
+        t0, T, np.array([c.reshape(6, 3) for c in coeffs]), (start, end))
 
 
 def save_trajectory(path: str, traj: minco.MincoTrajectory) -> None:

@@ -37,28 +37,21 @@ PEN_M_R_SHARE = 0.02     # so that the padding grows with the margin
 SCHED_CLEARANCE = 0.5    # m more M_r to schedule with: the joint solve
                          # strays a second or two from the schedule
 
-# The retry policy of plan_mission, run in the order of ATTEMPTS until a
-# post_check passes.  A rung is (quadrature factor, stretch): rung 0 audits
-# the last solve; a later rung solves again from it with penalty quadrature
-# and max_iter times the factor and 2 mu rounds, to see violation spikes
-# that slip between nodes.  A round is (a_max factor, v_max factor) for
-# re-timing a scheduled mission before its rungs: gentler schedules demand
-# less bank from the tilt limit.
-RUNGS = ((1, 1.0), (2, 1.0), (4, 1.15))
-ROUNDS = ((1.0, 0.95), (0.5, 0.8), (0.25, 0.7))
-# (round, rung) pairs; an unscheduled mission has no round.  A scheduled
-# round tries 2 rungs and the last round 3: the densest rung is costly, and
-# a schedule that a moderate rung cannot repair is too hot.
-ATTEMPTS = {False: ((None, 0), (None, 1), (None, 2)),
-            True: ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))}
-# The loop's other rules:
-#   - the stretch applies only after a limits failure;
-#   - a capsule failure adds 0.5 depth + 0.05 m to the penalized M_r, capped
-#     at 0.5 M_r and reset each round: the audit grid is finer than the
-#     penalty's, so densifying alone may never see the dip;
-#   - a round that ends without limits among its problems re-raises;
-#   - ScheduleTimeout in round 0 propagates; in a later round it re-raises
-#     the previous PostCheckFailure.
+SCHED_SPEED_SHARE = 0.95  # of v_max, for a conflicting mission's schedule
+
+# post_check audits on a grid of POST_TIME_STEP and fails corridor depths
+# below POST_CORRIDOR_TOL, capsule margins below fleet.AUDIT_TOL and
+# normalized limits residuals above POST_LIMITS_TOL.
+POST_TIME_STEP = 0.01      # s
+POST_CORRIDOR_TOL = -1e-3  # m
+POST_LIMITS_TOL = 1e-3
+
+# plan_mission's one retry after a failed post_check solves again from the
+# failed solve with quadrature and max_iter times RETRY_FACTOR and 2 mu
+# rounds, to see violation spikes that slip between nodes; after a capsule
+# failure it adds 0.5 depth + 0.05 m (at most 0.5 M_r) to the penalized
+# M_r, as the audit grid is finer than the penalty's.
+RETRY_FACTOR = 2
 
 
 class CoordinateChart:
@@ -570,19 +563,17 @@ class MissionReport:
     parts: dict
     solver_status: str
     post: dict
-    attempts: list   # plan_mission's attempt records, the last one passed
+    attempts: list   # plan_mission's 1 or 2 attempt records, the last passed
 
 
 def post_check(traj, corridor_polys, neighbors, margins, model, limits,
-               yaw_plan=None, *, time_step: float = 0.01,
-               corridor_tol: float = -1e-3, capsule_tol: float = -1e-3,
-               limits_tol: float = 1e-3) -> dict:
+               yaw_plan=None) -> dict:
     """Dense-grid audit of corridor containment, capsules, and limits.
 
     Returns the worst margins; raises PostCheckFailure when any of them
-    exceeds its tolerance.
+    exceeds its tolerance (POST_CORRIDOR_TOL, AUDIT_TOL, POST_LIMITS_TOL).
     """
-    n = max(int(np.ceil(traj.total_duration / time_step)) + 1, 64)
+    n = max(int(np.ceil(traj.total_duration / POST_TIME_STEP)) + 1, 64)
     ts = np.unique(np.concatenate([np.linspace(traj.t0, traj.t_end, n),
                                    traj.knots]))
     pos = traj.eval_many(ts, 0)
@@ -615,11 +606,11 @@ def post_check(traj, corridor_polys, neighbors, margins, model, limits,
               "capsule_margin": capsule_margin,
               "limits_norm": limits_norm}
     problems = []
-    if corr_margin < corridor_tol:
+    if corr_margin < POST_CORRIDOR_TOL:
         problems.append(("corridor", corr_margin))
-    if capsule_margin < capsule_tol:
+    if capsule_margin < AUDIT_TOL:
         problems.append(("capsule", capsule_margin))
-    if limits_norm > limits_tol:
+    if limits_norm > POST_LIMITS_TOL:
         problems.append(("limits", limits_norm))
     if problems:
         detail = ", ".join(f"{k} {v:.4e}" for k, v in problems)
@@ -644,25 +635,25 @@ def _check_endpoints(p_o, p_f, neighbors, margins):
 
 def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                  pconfig, rng, options: SolveOptions | None = None,
-                 yaw_plan=None, a_max: float | None = None,
-                 sched_dt: float | None = None):
+                 yaw_plan=None):
     """Full single-mission pipeline against a set of committed neighbors.
 
     Search, corridor, refined waypoints, trapezoidal durations, spatial
-    solve and conflict check.  A conflicting mission is scheduled: each
-    round re-times it and solves jointly with the capsule penalty.  Rungs
-    re-solve until the dense post_check passes, as ATTEMPTS lays out.  The
-    report's attempts, like the .attempts of a PlanningError the loop
-    raises, hold one {"round", "quadrature", "outcome"} per attempt, with
-    outcome "passed", the sorted problem names or the exception's name; an
-    attempt that ran temporal_schedule adds its search counts (layers,
-    cells, blocked).  Planning draws no random numbers: rng is accepted
-    and unused, because the benchmark's workloads still pass one, and a
-    change to the benchmark can drop it.
+    solve and conflict check.  A conflicting mission is re-timed along its
+    curve (temporal_schedule) and solved jointly with the capsule penalty.
+    A failed dense post_check gets one retry (RETRY_FACTOR); a second
+    failure, like a ScheduleTimeout, is raised.  The report's attempts,
+    like the .attempts of those errors, hold one {"round", "quadrature",
+    "outcome"} per attempt (round 0 if scheduled, else None), with outcome
+    "passed", the sorted problem names or the exception's name; an attempt
+    that ran temporal_schedule adds its search counts (layers, cells,
+    blocked).  Planning draws no random numbers: rng is accepted and
+    unused, because the benchmark's workloads still pass one, and a change
+    to the benchmark can drop it.
     """
     p_o = np.asarray(mission.p_o, dtype=float)
     p_f = np.asarray(mission.p_f, dtype=float)
-    a_lim = a_max if a_max is not None else limits.accel_cap(model)
+    a_lim = limits.accel_cap(model)
     if a_lim <= 0.0:
         raise ValueError("thrust limits leave no acceleration margin")
     neighbors = list(neighbors)
@@ -690,39 +681,19 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
 
     rep = solve(chart, mission.t_o, boundary, xi0, tau0, pconfig=pconfig,
                 margins=pen_margins, neighbors=(), options=options, **pen)
-    first_xi = rep.xi
-    check_res = sched_dt if sched_dt is not None else \
-        _check_step(margins, limits.v_max, 0.05)
+    check_res = _check_step(margins, limits.v_max, 0.05)
     scheduled = any(
         not penalty.check_equivalent_criterion(rep.traj, nb, pen_margins,
                                                check_res)[0]
         for nb in neighbors)
-    if scheduled:
-        curve, junction_s = _arc_geometry(rep.traj)
-        # Junction passage times can nearly coincide; a leg still needs
-        # at least the time its straight-line length demands.
-        wp = rep.traj.waypoints()
-        legs = np.vstack([p_o, wp, p_f]) if len(wp) else \
-            np.vstack([p_o, p_f])
-        leg_floor = np.maximum(
-            np.linalg.norm(np.diff(legs, axis=0), axis=1)
-            / limits.v_max, pathfind.MIN_LEG_DURATION)
 
-    attempts, failure = [], None
-    for rnd, k in ATTEMPTS[scheduled]:
-        qf, stretch = RUNGS[k]
-        if k == 0:
-            if failure is not None and "limits" not in failure.problems:
-                raise failure
-            bump = 0.0
-        record = {"round": rnd, "quadrature": qf}
+    attempts, bump = [], 0.0
+    for qf in (1, RETRY_FACTOR):
+        record = {"round": 0 if scheduled else None, "quadrature": qf}
         attempts.append(record)
         try:
-            if k:
-                tau = rep.tau
-                if stretch > 1.0 and "limits" in failure.problems:
-                    tau = tau + np.log(stretch)
-                rep = solve(chart, rep.traj.t0, boundary, rep.xi, tau,
+            if qf > 1:
+                rep = solve(chart, rep.traj.t0, boundary, rep.xi, rep.tau,
                             pconfig=replace(pconfig, n_q=pconfig.n_q * qf,
                                             n_t=pconfig.n_t * qf,
                                             n_v=pconfig.n_v * qf),
@@ -732,41 +703,44 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                             options=replace(options,
                                             max_iter=qf * options.max_iter,
                                             mu_rounds=2), **pen)
-            elif rnd is not None:
-                a_fac, v_fac = ROUNDS[rnd]
+            elif scheduled:
+                curve, junction_s = _arc_geometry(rep.traj)
+                # Junction passage times can nearly coincide; a leg still
+                # needs at least the time its straight-line length demands.
+                legs = np.vstack([p_o, rep.traj.waypoints(), p_f])
+                leg_floor = np.maximum(
+                    np.linalg.norm(np.diff(legs, axis=0), axis=1)
+                    / limits.v_max, pathfind.MIN_LEG_DURATION)
                 profile = temporal_schedule(
-                    curve, neighbors, sched_margins, v_fac * limits.v_max,
-                    a_fac * a_lim, t_request=mission.t_o, dt=check_res)
+                    curve, neighbors, sched_margins,
+                    SCHED_SPEED_SHARE * limits.v_max, a_lim,
+                    t_request=mission.t_o, dt=check_res)
                 record.update(profile.counts)
                 t_marks = [profile.departure]
                 t_marks += [profile.time_at(sj) for sj in junction_s]
                 t_marks.append(profile.arrival)
                 T1 = np.maximum(np.diff(np.asarray(t_marks)), leg_floor)
-                rep = solve(chart, t_marks[0], boundary, first_xi,
+                rep = solve(chart, t_marks[0], boundary, rep.xi,
                             np.log(T1), pconfig=pconfig, margins=pen_margins,
                             neighbors=neighbors, options=options, **pen)
             post = post_check(rep.traj, corridor_polys, neighbors, margins,
                               model, limits, yaw_plan)
-        except PostCheckFailure as exc:
-            record["outcome"] = sorted(exc.problems)
-            failure = exc
-            exc.attempts = attempts
-            if "capsule" in exc.problems:
-                depth = -float(exc.margins.get("capsule_margin", 0.0))
-                bump = min(bump + 0.5 * max(depth, 0.0) + 0.05,
-                           0.5 * margins.M_r)
-            continue
         except ScheduleTimeout as exc:
             record.update(exc.counts)
             record["outcome"] = type(exc).__name__
             exc.attempts = attempts
-            if failure is None:
+            raise
+        except PostCheckFailure as exc:
+            record["outcome"] = sorted(exc.problems)
+            exc.attempts = attempts
+            if qf > 1:
                 raise
-            raise failure
+            if "capsule" in exc.problems:
+                depth = -float(exc.margins.get("capsule_margin", 0.0))
+                bump = min(0.5 * max(depth, 0.0) + 0.05, 0.5 * margins.M_r)
+            continue
         record["outcome"] = "passed"
         break
-    else:
-        raise failure
 
     report = MissionReport(mission_id=str(mission.id), status="planned",
                            path_length=path.length,

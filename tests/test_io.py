@@ -1,4 +1,5 @@
-"""Trajectory JSON round trips and float emission."""
+"""Trajectory JSON round trips, malformed trajectory files, and float
+emission."""
 
 import json
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from swarmplan import io, minco
+from swarmplan import cli, geom, io, minco
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -38,6 +39,31 @@ def test_trajectory_round_trip_is_bit_stable(traj):
     text = io.dumps_json(io.trajectory_to_dict(traj))
     back = io.trajectory_from_dict(json.loads(text))
     assert _bits(back) == _bits(traj)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("duration", -3.0, "piece 1: bad duration -3.0"),
+    ("duration", np.nan, "piece 1: bad duration nan"),
+    ("coeffs", [np.nan] * 18, "piece 1: coeffs not 6 x 3 finite"),
+    ("t0", np.inf, "trajectory t0 must be finite"),
+])
+def test_check_rejects_malformed_trajectory(tmp_path, capsys, key, value,
+                                            message):
+    box = geom.Aabb(np.zeros(3), np.full(3, 50.0))
+    polymap = str(tmp_path / "polymap.json")
+    io.save_polymap(polymap, geom.PolyMap(
+        [geom.HalfspacePolytope.from_aabb(box)], 1e-2, box))
+    traj = minco.construct(0.0, np.array([4.0, 4.0]), np.array([[20, 5, 5]]),
+                           minco.BoundaryState.hover([5, 5, 5]),
+                           minco.BoundaryState.hover([35, 5, 5]))
+    data = io.trajectory_to_dict(traj)
+    (data if key == "t0" else data["pieces"][1])[key] = value
+    path = tmp_path / "traj_bad.json"
+    # json writes non-finite floats as NaN or Infinity; json.load reads both.
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", "--out", str(tmp_path), "--polymap", polymap,
+                     str(path)]) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])

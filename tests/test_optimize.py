@@ -10,7 +10,8 @@ import pytest
 import oracles
 from conftest import random_trajectory
 
-from swarmplan import cli, fleet, io, minco, optimize, pathfind, penalty
+from swarmplan import (cli, fleet, io, minco, optimize, pathfind, penalty,
+                       solver)
 from swarmplan.errors import (
     BlockedEndpoint,
     NotInPolytope,
@@ -441,9 +442,9 @@ def _rounds(report):
     return {a["round"] for a in report.attempts}
 
 
-# (n_q, max_iter, mu_rounds) of the spatial solve and of quadrature rungs
-# 1 and 2 at the default PenaltyConfig and SolveOptions.
-BASE, RUNG1, RUNG2 = (16, 500, 1), (32, 1000, 2), (64, 2000, 2)
+# (n_q, max_iter, mu_rounds) of a first solve and of the dense retry at the
+# default PenaltyConfig and SolveOptions.
+BASE, RUNG1 = (16, 500, 1), (32, 1000, 2)
 
 
 class TestPlanMission:
@@ -611,7 +612,7 @@ class TestPlanMission:
 
     def test_attempt_records(self, box_map, model, limits, margins, pconfig,
                              monkeypatch):
-        _force_post_failures(monkeypatch, [("capsule",), ("limits",)])
+        _force_post_failures(monkeypatch, [("capsule",)])
         m_a = fleet.Mission(id="a", p_o=[10, 30, 15], p_f=[50, 30, 15],
                             t_o=0.0)
         kw = dict(model=model, limits=limits, margins=margins,
@@ -620,14 +621,14 @@ class TestPlanMission:
                               **kw)
         assert rep.attempts == [
             {"round": None, "quadrature": 1, "outcome": ["capsule"]},
-            {"round": None, "quadrature": 2, "outcome": ["limits"]},
-            {"round": None, "quadrature": 4, "outcome": "passed"}]
-        _force_post_failures(monkeypatch, [("capsule", "limits")] * 3)
+            {"round": None, "quadrature": 2, "outcome": "passed"}]
+        _force_post_failures(monkeypatch, [("capsule", "limits")] * 2)
         with pytest.raises(PostCheckFailure) as info:
             plan_mission(box_map, m_a, [], rng=np.random.default_rng(40),
                          **kw)
-        assert [a["outcome"] for a in info.value.attempts] == [
-            ["capsule", "limits"]] * 3
+        assert info.value.attempts == [
+            {"round": None, "quadrature": q, "outcome": ["capsule", "limits"]}
+            for q in (1, 2)]
 
     def test_schedule_timeout_in_round_0_propagates(
             self, box_map, planned, model, limits, margins, pconfig,
@@ -642,8 +643,9 @@ class TestPlanMission:
     def test_spatial_retries(self, box_map, model, limits, margins, pconfig,
                              monkeypatch):
         # A capsule dip of 0.2 m thickens the penalized M_r (5.1) by
-        # 0.5 * 0.2 + 0.05; a limits failure then stretches the durations.
-        log = _force_post_failures(monkeypatch, [("capsule",), ("limits",)])
+        # 0.5 * 0.2 + 0.05 for the dense retry, which starts from the
+        # failed solve.
+        log = _force_post_failures(monkeypatch, [("capsule",)])
         m_a = fleet.Mission(id="a", p_o=[10, 30, 15], p_f=[50, 30, 15],
                             t_o=0.0)
         _, rep = plan_mission(box_map, m_a, [], model=model, limits=limits,
@@ -652,25 +654,10 @@ class TestPlanMission:
         assert not rep.scheduled
         assert rep.post == PASSED
         assert log["schedule"] == []
-        assert _solve_budgets(log) == [BASE, RUNG1, RUNG2]
-        assert [s["M_r"] for s in log["solve"]] == pytest.approx(
-            [5.1, 5.25, 5.25])
-        first, rung1, rung2 = log["solve"]
+        assert _solve_budgets(log) == [BASE, RUNG1]
+        assert [s["M_r"] for s in log["solve"]] == pytest.approx([5.1, 5.25])
+        first, rung1 = log["solve"]
         assert np.array_equal(rung1["tau0"], first["tau"])
-        assert np.array_equal(rung2["tau0"], rung1["tau"] + np.log(1.15))
-
-    def test_capsule_retries_thicken_without_stretch(
-            self, box_map, model, limits, margins, pconfig, monkeypatch):
-        log = _force_post_failures(monkeypatch, [("capsule",)] * 2)
-        m_a = fleet.Mission(id="a", p_o=[10, 30, 15], p_f=[50, 30, 15],
-                            t_o=0.0)
-        plan_mission(box_map, m_a, [], model=model, limits=limits,
-                     margins=margins, pconfig=pconfig,
-                     rng=np.random.default_rng(40))
-        assert _solve_budgets(log) == [BASE, RUNG1, RUNG2]
-        assert [s["M_r"] for s in log["solve"]] == pytest.approx(
-            [5.1, 5.25, 5.4])
-        assert np.array_equal(log["solve"][2]["tau0"], log["solve"][1]["tau"])
 
     def _plan_b(self, box_map, planned, model, limits, margins, pconfig):
         _, (traj_a, _), _ = planned
@@ -680,10 +667,11 @@ class TestPlanMission:
                             limits=limits, margins=margins, pconfig=pconfig,
                             rng=np.random.default_rng(42))
 
+    @pytest.mark.parametrize("problem", ["corridor", "limits"])
     def test_scheduled_corridor_failure_raises_after_round_0(
             self, box_map, planned, model, limits, margins, pconfig,
-            monkeypatch):
-        log = _force_post_failures(monkeypatch, [("corridor",)] * 2)
+            monkeypatch, problem):
+        log = _force_post_failures(monkeypatch, [(problem,)] * 2)
         with pytest.raises(PostCheckFailure) as info:
             self._plan_b(box_map, planned, model, limits, margins, pconfig)
         assert info.value is log["raised"][-1]
@@ -691,55 +679,29 @@ class TestPlanMission:
         assert len(log["schedule"]) == 1
         assert _solve_budgets(log) == [BASE, BASE, RUNG1]
 
-    def test_scheduled_limits_failures_reach_last_rung(
+    @pytest.mark.xfail(strict=True, reason=(
+        "solve stops at 1e-5 of the first gradient's inf-norm, which the "
+        "1e5-weighted penalties dominate, so where the joint solve stops "
+        "along the jerk-versus-time valley depends on rounding"))
+    def test_joint_solve_stable_under_rounding(
             self, box_map, planned, model, limits, margins, pconfig,
             monkeypatch):
-        log = _force_post_failures(monkeypatch, [("limits",)] * 6)
-        _, rep = self._plan_b(box_map, planned, model, limits, margins,
-                              pconfig)
-        assert rep.scheduled
-        assert rep.post == PASSED
-        a_lim = min(limits.f_max / model.m - model.g,
-                    model.g * np.tan(limits.theta_max))
-        factors = [(v / limits.v_max, a / a_lim) for v, a in log["schedule"]]
-        assert factors == pytest.approx([(0.95, 1.0), (0.8, 0.5),
-                                         (0.7, 0.25)])
-        assert _solve_budgets(log) == [BASE] + [BASE, RUNG1] * 2 + [
-            BASE, RUNG1, RUNG2]
-        assert [s["M_r"] for s in log["solve"]] == pytest.approx([5.1] * 8)
-        sched1, rung1, rung2 = log["solve"][-3:]
-        assert np.array_equal(rung1["tau0"], sched1["tau"])
-        assert np.array_equal(rung2["tau0"], rung1["tau"] + np.log(1.15))
-
-    def test_capsule_bump_resets_each_round(
-            self, box_map, planned, model, limits, margins, pconfig,
-            monkeypatch):
-        log = _force_post_failures(monkeypatch, [("capsule",), ("limits",),
-                                                 ("capsule",)])
-        self._plan_b(box_map, planned, model, limits, margins, pconfig)
-        assert len(log["schedule"]) == 2
-        assert _solve_budgets(log) == [BASE] + [BASE, RUNG1] * 2
-        assert [s["M_r"] for s in log["solve"]] == pytest.approx(
-            [5.1, 5.1, 5.25, 5.1, 5.25])
-
-    def test_scheduled_limits_failures_exhaust_rounds(
-            self, box_map, planned, model, limits, margins, pconfig,
-            monkeypatch):
-        log = _force_post_failures(monkeypatch, [("limits",)] * 7)
-        with pytest.raises(PostCheckFailure) as info:
-            self._plan_b(box_map, planned, model, limits, margins, pconfig)
-        assert info.value is log["raised"][-1]
-        assert len(log["raised"]) == 7
-        assert len(log["schedule"]) == 3
-
-    def test_schedule_timeout_reraises_post_check_failure(
-            self, box_map, planned, model, limits, margins, pconfig,
-            monkeypatch):
-        log = _force_post_failures(monkeypatch, [("limits",)] * 2,
-                                   timeout_on=2)
-        with pytest.raises(PostCheckFailure) as info:
-            self._plan_b(box_map, planned, model, limits, margins, pconfig)
-        assert info.value is log["raised"][-1]
-        assert len(log["raised"]) == 2
-        assert len(log["schedule"]) == 2
-        assert _solve_budgets(log) == [BASE, BASE, RUNG1]
+        # Scale every solver start of mission b's plan by 1 + eps; a is
+        # planned unscaled.  Each b must still commit, within 5% of the
+        # unscaled arrival (38.6 s).
+        _, _, (traj_b, _) = planned
+        real_minimize = solver.minimize
+        t_end = {}
+        for eps in (-1e-13, -5e-13, 1e-12, 2e-12):
+            monkeypatch.setattr(
+                solver, "minimize",
+                lambda fun, x0, eps=eps, **kw: real_minimize(
+                    fun, x0 * (1.0 + eps), **kw))
+            try:
+                traj, _ = self._plan_b(box_map, planned, model, limits,
+                                       margins, pconfig)
+                t_end[eps] = traj.t_end
+            except PostCheckFailure:
+                t_end[eps] = None
+        assert all(t is not None and abs(t - traj_b.t_end)
+                   <= 0.05 * traj_b.t_end for t in t_end.values()), t_end
