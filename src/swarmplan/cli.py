@@ -5,9 +5,10 @@ Commands: polyhedronize, fleet, check, robustness, profile.  Common flags
 failure, 3 audit failure.  Outputs are deterministic for a fixed seed and
 written atomically.
 
+fleet's audit rows are the margins of its commits (fleet.FleetDb.commit).
 check applies optimize.post_check to each trajectory, with the whole
-polytope cover as its corridor and no neighbors, plus the fleet's final
-audit (fleet.audit_rows) to every pair.
+polytope cover as its corridor and no neighbors, and recomputes the same
+pair audit (fleet.audit_rows) for every pair.
 """
 
 from __future__ import annotations
@@ -189,9 +190,7 @@ def cmd_check(args) -> int:
                             post.get("corridor_margin", np.inf))
         worst_limits = max(worst_limits, post.get("limits_norm", -np.inf))
 
-    rows = fleetmod.audit_rows(
-        sorted(trajs.items()), margins,
-        fleetmod.audit_resolution(margins, fleetmod.FINAL_RES_FACTOR))
+    rows = fleetmod.audit_rows(sorted(trajs.items()), margins)
     failures += [f"pair ({a}, {b}): margin {m:.4e}" for a, b, m in rows
                  if m < fleetmod.AUDIT_TOL]
     worst_pair = min((m for _, _, m in rows), default=np.inf)

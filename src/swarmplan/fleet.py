@@ -1,10 +1,12 @@
 """Incremental fleet coordination, commit auditing, and robustness trials.
 
 Committed trajectories are the reference set every new mission must stay
-clear of.  Commits re-audit the candidate against the whole fleet with the
-pair kernel penalty.check_equivalent_criterion, whose docstring states the
-presence model; the robustness harness replays committed fleets under
-bounded random time warps and reports minimum pairwise distances.
+clear of.  Every pair audit is audit_margin: the pair kernel
+penalty.check_equivalent_criterion, whose docstring states the presence
+model, at a grid step of AUDIT_SHARE of M_d.  Commits audit the candidate
+against the whole fleet and keep the margins for the final audit; the
+robustness harness replays committed fleets under bounded random time
+warps and reports minimum pairwise distances.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import numpy as np
 from . import penalty
 from .errors import AuditFailure
 
-COMMIT_RES_FACTOR = 0.02
-FINAL_RES_FACTOR = 0.01
-AUDIT_TOL = -1e-3
+AUDIT_SHARE = 0.01   # audit grid step, as a share of M_d (of 10 s if M_d = 0)
+AUDIT_TOL = -1e-3    # m; a pair with a lower margin fails the audit
 WARP_SLOPE_BOUND = 0.5
+TRIAL_STEP_SHARE = 0.02  # robustness trials sample at this share of M_d,
+TRIAL_STEP = 0.05        # or every TRIAL_STEP s when M_d is zero,
+TRIAL_WORKERS = 4        # on this many threads
 
 PENDING = "pending"
 COMMITTED = "committed"
@@ -49,44 +53,40 @@ class Mission:
 class FleetEntry:
     mission_id: str
     traj: object
+    audit: tuple   # audit margin against each earlier entry, in order
 
 
-def audit_resolution(margins, factor: float) -> float:
-    """Kernel grid step: a share of M_d, or of 10 s when M_d is zero."""
-    if margins.M_d > 0.0:
-        return factor * margins.M_d
-    return factor * 10.0
+def audit_margin(traj_a, traj_b, margins) -> float:
+    """The pair audit: the symmetric kernel's margin at a grid step of
+    AUDIT_SHARE of M_d, or of 10 s when M_d is zero."""
+    res = AUDIT_SHARE * (margins.M_d if margins.M_d > 0.0 else 10.0)
+    return penalty.check_equivalent_criterion(traj_a, traj_b, margins, res)[1]
 
 
-def audit_rows(named_trajs, margins, resolution: float) -> list:
+def audit_rows(named_trajs, margins) -> list:
     """(id_a, id_b, margin) for every pair of (id, trajectory) items, in
     order."""
     named = list(named_trajs)
-    return [(ia, ib, penalty.check_equivalent_criterion(
-                ta, tb, margins, resolution)[1])
+    return [(ia, ib, audit_margin(ta, tb, margins))
             for k, (ia, ta) in enumerate(named) for ib, tb in named[k + 1:]]
 
 
 class FleetDb:
     """Committed-trajectory store with serialized, audited insertion.
 
-    Reads take a snapshot under the lock; commits re-audit the candidate
-    against every committed neighbor before inserting, so the invariant
-    that all committed pairs pass the reciprocal-safety audit holds after
-    any commit sequence.  Presence outside a flight follows the model in
+    Reads take a snapshot under the lock; commits audit the candidate
+    against every committed neighbor before inserting it with the margins,
+    so the invariant that all committed pairs pass the reciprocal-safety
+    audit holds after any commit sequence and final_audit only reads.
+    Presence outside a flight follows the model in
     penalty.check_equivalent_criterion.
     """
 
-    def __init__(self, polymap, margins, audit_tol: float = AUDIT_TOL):
+    def __init__(self, polymap, margins):
         self.polymap = polymap
         self.margins = margins
-        self.audit_tol = float(audit_tol)
         self._entries: list = []
         self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def entries(self) -> list:
         with self._lock:
@@ -102,25 +102,25 @@ class FleetDb:
 
     def commit(self, mission_id: str, traj) -> None:
         """Audit against every committed neighbor, then insert atomically."""
-        res = audit_resolution(self.margins, COMMIT_RES_FACTOR)
         with self._lock:
             if any(e.mission_id == mission_id for e in self._entries):
                 raise ValueError(f"mission id {mission_id!r} already committed")
+            audit = []
             for e in self._entries:
-                _, margin, _ = penalty.check_equivalent_criterion(
-                    traj, e.traj, self.margins, res)
-                if margin < self.audit_tol:
+                margin = audit_margin(traj, e.traj, self.margins)
+                if margin < AUDIT_TOL:
                     raise AuditFailure(
                         f"commit audit failed for ({mission_id}, "
                         f"{e.mission_id}): margin {margin:.4e} m",
                         pair=(mission_id, e.mission_id), margin=margin)
-            self._entries.append(FleetEntry(mission_id, traj))
+                audit.append(margin)
+            self._entries.append(FleetEntry(mission_id, traj, tuple(audit)))
 
     def final_audit(self) -> list:
-        """All-pairs audit at the fine resolution; returns margin rows."""
-        return audit_rows(((e.mission_id, e.traj) for e in self.entries()),
-                          self.margins,
-                          audit_resolution(self.margins, FINAL_RES_FACTOR))
+        """The commits' (id_a, id_b, margin) rows, in audit_rows order."""
+        entries = self.entries()
+        return [(a.mission_id, b.mission_id, b.audit[k])
+                for k, a in enumerate(entries) for b in entries[k + 1:]]
 
 
 def min_pairwise_distance(trajs, step: float, warps=None,
@@ -201,9 +201,7 @@ def _trial_warps(rng, n: int, spec: DisturbanceSpec):
 
 
 def robustness_experiment(trajs, margins, dt_grid, rng, *,
-                          trials: int = 20, regime: str = "all",
-                          step: float | None = None,
-                          max_workers: int = 4) -> list:
+                          trials: int = 20, regime: str = "all") -> list:
     """Mean/std of the minimum pairwise distance under random warps.
 
     Returns rows (dt_max, mean_min_dist, std_min_dist, trials).  Warps are
@@ -212,16 +210,15 @@ def robustness_experiment(trajs, margins, dt_grid, rng, *,
     fixed aggregation order.
     """
     trajs = list(trajs)
-    if step is None:
-        step = (0.02 * margins.M_d if margins is not None
-                and margins.M_d > 0.0 else 0.05)
+    step = (TRIAL_STEP_SHARE * margins.M_d if margins is not None
+            and margins.M_d > 0.0 else TRIAL_STEP)
     rows = []
     for dt_max in dt_grid:
         spec = DisturbanceSpec(dt_max=float(dt_max), trials=trials,
                                regime=regime)
         warp_sets = [_trial_warps(rng, len(trajs), spec)
                      for _ in range(trials)]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        with ThreadPoolExecutor(max_workers=TRIAL_WORKERS) as pool:
             mins = list(pool.map(
                 lambda ws: min_pairwise_distance(trajs, step, warps=ws,
                                                  margins=margins),

@@ -21,7 +21,7 @@ from .dynamics import flat_batch, limits_residual_batch
 from .errors import (BlockedEndpoint, EmptyInterior, EmptyIntersection,
                      NotInPolytope, PostCheckFailure, ScheduleTimeout,
                      SingularAttitude)
-from .fleet import AUDIT_TOL
+from .fleet import AUDIT_TOL, audit_margin
 
 ACTIVE_FACE_TOL = 1e-7
 MEMBERSHIP_SLACK = 1e-9
@@ -384,11 +384,11 @@ class StampedProfile:
         return float(self.t[idx - 1] + w * (self.t[idx] - self.t[idx - 1]))
 
 
-def _check_step(margins, v_max, share):
-    """Separation grid step: a share of M_d, or with no delay margin the
-    time to cover a tenth of 2 M_r at v_max."""
+def _check_step(margins, v_max):
+    """Plan-time screen and scheduler grid step: M_d / 20, or with no delay
+    margin the time to cover a tenth of 2 M_r at v_max."""
     if margins.M_d > 0.0:
-        return share * margins.M_d
+        return 0.05 * margins.M_d
     return 0.1 * (2.0 * margins.M_r) / max(v_max, 1e-9)
 
 
@@ -447,7 +447,7 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     """
     L = curve.length
     if dt is None:
-        dt = _check_step(margins, v_max, 0.05)
+        dt = _check_step(margins, v_max)
     offsets = penalty._closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, dt)
     limit_sq = (2.0 * margins.M_r) ** 2
     neighbors = list(neighbors)
@@ -570,8 +570,10 @@ def post_check(traj, corridor_polys, neighbors, margins, model, limits,
                yaw_plan=None) -> dict:
     """Dense-grid audit of corridor containment, capsules, and limits.
 
-    Returns the worst margins; raises PostCheckFailure when any of them
-    exceeds its tolerance (POST_CORRIDOR_TOL, AUDIT_TOL, POST_LIMITS_TOL).
+    Its capsule audit is the commit's, fleet.audit_margin against each
+    neighbor.  Returns the worst margins; raises PostCheckFailure when any
+    of them exceeds its tolerance (POST_CORRIDOR_TOL, AUDIT_TOL,
+    POST_LIMITS_TOL).
     """
     n = max(int(np.ceil(traj.total_duration / POST_TIME_STEP)) + 1, 64)
     ts = np.unique(np.concatenate([np.linspace(traj.t0, traj.t_end, n),
@@ -582,10 +584,8 @@ def post_check(traj, corridor_polys, neighbors, margins, model, limits,
         depth = np.maximum(depth, poly.depth_many(pos))
     corr_margin = float(np.min(depth))
 
-    res = _check_step(margins, limits.v_max, 0.02)
-    capsule_margin = min(
-        (penalty.check_equivalent_criterion(traj, nb, margins, res)[1]
-         for nb in neighbors), default=np.inf)
+    capsule_margin = min((audit_margin(traj, nb, margins) for nb in neighbors),
+                         default=np.inf)
 
     vel = traj.eval_many(ts, 1)
     acc = traj.eval_many(ts, 2)
@@ -681,7 +681,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
 
     rep = solve(chart, mission.t_o, boundary, xi0, tau0, pconfig=pconfig,
                 margins=pen_margins, neighbors=(), options=options, **pen)
-    check_res = _check_step(margins, limits.v_max, 0.05)
+    check_res = _check_step(margins, limits.v_max)
     scheduled = any(
         not penalty.check_equivalent_criterion(rep.traj, nb, pen_margins,
                                                check_res)[0]
