@@ -14,7 +14,9 @@ positions scale with the piece duration, so durations enter both the
 quadrature weights and the node times.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -346,9 +348,12 @@ def check_equivalent_criterion(traj_a, traj_b, margins, resolution):
     When the coefficient boxes are more than 2 M_r apart the box gap minus
     2 M_r is returned, a certified lower bound, with witness (nan, nan).
     Otherwise both orientations are swept, t over one domain and offsets
-    v in [-2 M_d, 2 M_d] at the given resolution, and the worst cell is
-    polished by alternating golden sections.  Returns (satisfied, worst
-    margin, (t_a, t_b)); the witness times produce that margin.
+    v in [-2 M_d, 2 M_d] at the given resolution.  Each sweep finds the
+    grid sample np.argmin over the whole grid would return, the first
+    (t, v) in row-major order among the smallest, by Lipschitz branch and
+    bound (_grid_argmin), and polishes it by alternating golden sections.
+    Returns (satisfied, worst margin, (t_a, t_b)); the witness times
+    produce that margin.
     """
     if resolution <= 0.0:
         raise ValueError("grid resolution must be positive")
@@ -378,29 +383,138 @@ def _worst_one_sided(traj_a, traj_b, margins, resolution):
     t_grid = _closed_grid(traj_a.t0, traj_a.t_end, resolution)
     # With M_d = 0 the window is the single offset 0.
     v_grid = _closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, resolution)
-    d2 = _window_sq_dists(traj_a.eval_many(t_grid, 0), t_grid, traj_b,
-                          v_grid, margins)
-    k = int(np.argmin(d2))
+    d2, k = _grid_argmin(traj_a, traj_b, t_grid, v_grid, margins)
     ti, vi = divmod(k, len(v_grid))
     t_best, v_best = t_grid[ti], v_grid[vi]
-    on_grid = (float(np.sqrt(d2.flat[k])), t_best, v_best)
+    on_grid = (float(np.sqrt(d2)), t_best, v_best)
 
-    def dist(t, v):
-        da = traj_a.eval_many(np.array([t]), 0)[0]
-        db = traj_b.eval_many(np.array([t + v]), 0)[0]
-        return float(np.sqrt(margins.wdist_sq(da - db)))
+    at_a, at_b = _point_evaluator(traj_a), _point_evaluator(traj_b)
+
+    def dist(pos_a, t_b):
+        return float(np.sqrt(margins.wdist_sq(pos_a - at_b(t_b))))
 
     lo_v, hi_v = (-2.0 * margins.M_d, 2.0 * margins.M_d)
     for _ in range(3):
-        t_best = _golden(lambda t: dist(t, v_best),
+        t_best = _golden(lambda t: dist(at_a(t), t + v_best),
                          max(traj_a.t0, t_best - resolution),
                          min(traj_a.t_end, t_best + resolution))
         if margins.M_d > 0.0:
-            v_best = _golden(lambda v: dist(t_best, v),
+            a_best = at_a(t_best)
+            v_best = _golden(lambda v: dist(a_best, t_best + v),
                              max(lo_v, v_best - resolution),
                              min(hi_v, v_best + resolution))
-    worst, t, v = min((dist(t_best, v_best), t_best, v_best), on_grid)
+    worst, t, v = min((dist(at_a(t_best), t_best + v_best), t_best, v_best),
+                      on_grid)
     return worst, (float(t), float(t + v))
+
+
+_BNB_SLACK = 1e-6   # m; covers rounding in the samples and at junctions
+
+
+def _grid_argmin(traj_a, traj_b, t_grid, v_grid, margins):
+    """(d2, flat index) of np.argmin over the squared weighted distances
+    of a(t_i) to b(t_i + v_j), index i * len(v_grid) + j, sampled exactly
+    as _window_sq_dists samples them, but only where needed.
+
+    Starting from the whole index grid, each cell is bounded below by its
+    centre's distance less (S_a + S_b) h_t + S_b h_v, with h_t and h_v the
+    centre's farthest reach in the cell and S_a, S_b weighted speed bounds
+    over the times the cell spans (_span_speed).  A cell whose bound
+    exceeds the best sample by more than _BNB_SLACK holds no minimum and
+    is dropped; the others are quartered until they are single samples.
+    Where b is parked over a whole cell only its first column is kept, as
+    each row ties exactly.  So the first of the smallest samples is always
+    evaluated, and np.argmin over the evaluated ones breaks ties as the
+    dense grid does.
+    """
+    n_t, n_v = len(t_grid), len(v_grid)
+    pos_a = traj_a.eval_many(t_grid, 0)
+    speed_a = _speed_bounds(traj_a, margins)
+    speed_b = _speed_bounds(traj_b, margins)
+    d2 = np.full(n_t * n_v, np.inf)   # inf until sampled
+    best = np.inf
+    # Cells [i0, i1] x [j0, j1], inclusive; the first is the whole grid.
+    i0, i1, j0, j1 = (np.array([n]) for n in (0, n_t - 1, 0, n_v - 1))
+    while len(i0):
+        ic, jc = (i0 + i1) // 2, (j0 + j1) // 2
+        k = ic * n_v + jc
+        # A level's cells are disjoint, so its centres are distinct.
+        new = k[np.isinf(d2[k])]
+        ti, vj = np.divmod(new, n_v)
+        nb_pos = traj_b.eval_many(t_grid[ti] + v_grid[vj], 0)
+        d2[new] = margins.wdist_sq(pos_a[ti] - nb_pos)
+        best = min(best, float(np.min(d2[new], initial=np.inf)))
+        h_t = np.maximum(t_grid[ic] - t_grid[i0], t_grid[i1] - t_grid[ic])
+        h_v = np.maximum(v_grid[jc] - v_grid[j0], v_grid[j1] - v_grid[jc])
+        s_a = _span_speed(traj_a, speed_a, t_grid[i0], t_grid[i1])
+        lo_b, hi_b = t_grid[i0] + v_grid[j0], t_grid[i1] + v_grid[j1]
+        s_b = _span_speed(traj_b, speed_b, lo_b, hi_b)
+        lower = np.sqrt(d2[k]) - (s_a + s_b) * h_t - s_b * h_v
+        live = ((i1 > i0) | (j1 > j0)) & (
+            lower <= np.sqrt(best) + _BNB_SLACK)
+        # b's position is the same float at every parked time.
+        parked = (hi_b < traj_b.t0) | (lo_b > traj_b.t_end)
+        j1 = np.where(parked, j0, j1)
+        i0, i1, j0, j1 = _quarter(i0[live], i1[live], j0[live], j1[live])
+    k = int(np.argmin(d2))
+    return float(d2[k]), k
+
+
+def _quarter(i0, i1, j0, j1):
+    """Split cells [i0, i1] x [j0, j1] in half along each axis longer than
+    one sample."""
+    def halves(lo, hi):
+        mid = (lo + hi) // 2
+        split = hi > lo
+        owner = np.concatenate([np.arange(len(lo)), np.flatnonzero(split)])
+        return (owner, np.concatenate([lo, mid[split] + 1]),
+                np.concatenate([mid, hi[split]]))
+
+    own_t, a0, a1 = halves(i0, i1)
+    own_v, b0, b1 = halves(j0[own_t], j1[own_t])
+    return a0[own_v], a1[own_v], b0, b1
+
+
+# Bernstein coefficients of a quartic on [0, 1] from its monomial ones.
+_MONO_TO_BERN4 = np.array([[comb(k, m) / comb(4, m) if m <= k else 0.0
+                            for m in range(5)] for k in range(5)])
+
+
+def _speed_bounds(traj, margins):
+    """Per piece, the largest weighted norm of the Bernstein control points
+    of its velocity on [0, T_i]; the velocity lies in their convex hull, so
+    this caps the weighted speed on the piece."""
+    m = np.arange(5)
+    mono = ((m + 1)[None, :, None] * traj.coeffs[:, 1:, :]
+            * (traj.T[:, None] ** m)[:, :, None])
+    bern = np.einsum("km,imd->ikd", _MONO_TO_BERN4, mono)
+    return np.sqrt(np.max(margins.wdist_sq(bern), axis=1))
+
+
+def _span_speed(traj, speed, lo, hi):
+    """Per span [lo, hi], the largest speed bound over the pieces it meets,
+    ends included; 0 where the vehicle is parked throughout."""
+    meets = (traj.knots[:-1, None] <= hi) & (traj.knots[1:, None] >= lo)
+    return np.max(np.where(meets, speed[:, None], 0.0), axis=0)
+
+
+def _point_evaluator(traj):
+    """t -> traj.eval_many(np.array([t]), 0)[0], by the same numpy
+    operations on one row, bit for bit, without its masks."""
+    knots = traj.knots.tolist()
+    start = traj.coeffs[0, 0, :]
+    end = traj.coeffs[-1].T @ minco.basis(traj.T[-1], 0)
+
+    def at(t):
+        if t < knots[0]:
+            return start
+        if t > knots[-1]:
+            return end
+        i = min(max(bisect_right(knots, t) - 1, 0), traj.n_pieces - 1)
+        return np.einsum("nj,njd->nd", minco.basis_many(t - knots[i], 0),
+                         traj.coeffs[i:i + 1])[0]
+
+    return at
 
 
 def _closed_grid(lo, hi, step):

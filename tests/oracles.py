@@ -143,6 +143,18 @@ def brute_pair_margin(traj_a, traj_b, margins, resolution):
     return float(np.sqrt(best)) - 2.0 * margins.M_r
 
 
+def dense_grid_argmin(traj_a, traj_b, t_grid, v_grid, margins):
+    """(d2, flat index) of np.argmin over the whole one-sided grid: squared
+    weighted distances of a(t_i) to b(t_i + v_j), index i * len(v_grid) + j,
+    every sample evaluated in one batch."""
+    times = (t_grid[:, None] + v_grid[None, :]).ravel()
+    pb = traj_b.eval_many(times, 0).reshape(len(t_grid), len(v_grid), 3)
+    d = traj_a.eval_many(t_grid, 0)[:, None, :] - pb
+    d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + margins.w * d[..., 2] ** 2
+    k = int(np.argmin(d2))
+    return float(d2.flat[k]), k
+
+
 # ---------------------------------------------------------------------------
 # geometry
 

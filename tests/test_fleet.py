@@ -66,6 +66,55 @@ class TestCommit:
         assert min(m for _, _, m in rows) < 2.0 * margins.M_r
 
 
+class TestDelayGuarantee:
+    def test_warps_within_M_d_keep_the_audited_distance(self, margins):
+        # north crosses east's line 6 s after east, just outside the
+        # capsule; beside flies 12 m from east and west later on.
+        lanes = [
+            ("east", _transit_traj([10, 30, 15], [50, 30, 15], 0.0, 10.0)),
+            ("north", _transit_traj([30, 10, 15], [30, 50, 15], 6.0, 10.0)),
+            ("beside", _transit_traj([10, 42, 15], [50, 42, 15], 0.0, 10.0)),
+            ("west", _transit_traj([50, 18, 15], [10, 18, 15], 15.0, 10.0)),
+        ]
+        db = fleet.FleetDb(None, margins)
+        for name, traj in lanes:
+            db.commit(name, traj)
+        rows = db.final_audit()
+        ia, ib, worst = min(rows, key=lambda r: r[2])
+        assert 0.0 < worst < 1.0
+        trajs = dict(lanes)
+        res = fleet.AUDIT_SHARE * margins.M_d
+        margin, (t_a, t_b) = penalty.check_equivalent_criterion(
+            trajs[ia], trajs[ib], margins, res)[1:]
+        assert margin == worst
+        # A grid minimum lies at most (S_a + S_b) h + S_b h <= 3 S h below
+        # the continuous one: h = res / 2, S the largest weighted speed
+        # bound.
+        speed = max(float(np.max(penalty._speed_bounds(tr, margins)))
+                    for tr in trajs.values())
+        floor = 2.0 * margins.M_r + worst - 2.0 * speed * res
+        step = fleet.TRIAL_STEP_SHARE * margins.M_d
+        order = [trajs[n] for n, _ in lanes]
+
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            warps = [fleet.random_warp(rng, margins.M_d) for _ in order]
+            dist = fleet.min_pairwise_distance(order, step, warps=warps,
+                                               margins=margins)
+            assert dist >= floor
+
+        # Constant delays that put the worst row's witness on one instant.
+        t_mid = 0.5 * (t_a + t_b)
+        assert abs(t_a - t_mid) <= margins.M_d
+        delay = {ia: t_a - t_mid, ib: t_b - t_mid}
+        warps = [(lambda t, d=delay.get(n, 0.0):
+                  np.full_like(np.asarray(t, dtype=float), d))
+                 for n, _ in lanes]
+        dist = fleet.min_pairwise_distance(order, step, warps=warps,
+                                           margins=margins)
+        assert floor <= dist <= 2.0 * margins.M_r + worst + speed * step
+
+
 class TestRobustness:
     def _fleet_dir(self, tmp_path, margins, lanes):
         config = tmp_path / "config.json"

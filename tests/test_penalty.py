@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import random_trajectory
 
-from swarmplan import minco, penalty
+from swarmplan import fleet, minco, penalty
 from swarmplan.geom import Aabb, HalfspacePolytope
 from swarmplan.penalty import (
     ConstantYaw,
@@ -451,3 +451,87 @@ class TestEquivalentCriterion:
             assert brute - 1.5 < m < brute + 0.3
             checked += 1
         assert checked == 12
+
+
+def _free_ends_trajectory(rng, box=20.0):
+    """A random spline that starts and ends moving and accelerating."""
+    M = int(rng.integers(1, 4))
+    pts = rng.uniform(-box, box, size=(M + 1, 3))
+    start = minco.BoundaryState(pts[0], rng.uniform(-6, 6, 3),
+                                rng.uniform(-3, 3, 3))
+    end = minco.BoundaryState(pts[-1], rng.uniform(-6, 6, 3),
+                              rng.uniform(-3, 3, 3))
+    return minco.construct(float(rng.uniform(0.0, 4.0)),
+                           rng.uniform(0.5, 2.5, size=M), pts[1:-1],
+                           start, end)
+
+
+def _lane(y):
+    """A 90 m, 15 s, three-piece hover-to-hover lane along x at the given y,
+    36 m up, like an audit-fleet lane."""
+    p0, p1 = np.array([5.0, y, 36.0]), np.array([95.0, y, 36.0])
+    q = p0 + (p1 - p0) * (np.arange(1, 3)[:, None] / 3.0)
+    return minco.construct(0.0, np.full(3, 5.0), q,
+                           minco.BoundaryState.hover(p0),
+                           minco.BoundaryState.hover(p1))
+
+
+class TestGridSearch:
+    """The pair kernel's branch and bound against the dense grid."""
+
+    def test_matches_dense_argmin(self):
+        rng = np.random.default_rng(21)
+        kinds = ["hover", "free", "parked", "one_row"]
+        for n in range(216):
+            M_d = (0.0, 0.5, 2.0)[n % 3]
+            res = (0.02, 0.05, 0.1)[(n // 3) % 3]
+            kind = kinds[(n // 9) % 4]
+            margins = SafetyMargins(M_r=5.0, M_d=M_d, w=0.5)
+            if kind == "hover":
+                a = random_trajectory(rng, n_pieces=2, box=15.0)
+                b = random_trajectory(rng, n_pieces=2, box=15.0)
+            else:
+                a = _free_ends_trajectory(rng)
+                b = _free_ends_trajectory(rng)
+            if kind == "parked":
+                # b lands before a's window opens: every row ties.
+                b = b.shifted(a.t0 - 2.0 * M_d - b.total_duration - 1.0)
+            t_grid = penalty._closed_grid(a.t0, a.t_end, res)
+            if kind == "one_row":
+                t_grid = t_grid[rng.integers(len(t_grid)):][:1]
+            v_grid = penalty._closed_grid(-2.0 * M_d, 2.0 * M_d, res)
+            got = penalty._grid_argmin(a, b, t_grid, v_grid, margins)
+            want = oracles.dense_grid_argmin(a, b, t_grid, v_grid, margins)
+            assert got == want, (n, kind, got, want)
+            if kind == "parked" and M_d > 0.0:
+                assert got[1] % len(v_grid) == 0   # first of the tied row
+
+    def test_speed_bound_covers_sampled_speed(self, margins):
+        rng = np.random.default_rng(8)
+        s = np.linspace(0.0, 1.0, 2001)
+        for n in range(40):
+            traj = (_free_ends_trajectory(rng) if n % 2
+                    else random_trajectory(rng))
+            bound = penalty._speed_bounds(traj, margins)
+            for i in range(traj.n_pieces):
+                vel = minco.basis_many(s * traj.T[i], 1) @ traj.coeffs[i]
+                peak = float(np.max(margins.wdist(vel)))
+                # Equal at a piece end up to rounding.
+                assert bound[i] >= peak * (1.0 - 1e-12)
+
+    def test_searches_a_quarter_of_the_grid(self, margins, monkeypatch):
+        # Two audit-fleet lanes 12 m apart at the audit's grid step.
+        a, b = _lane(20.0), _lane(32.0)
+        res = fleet.AUDIT_SHARE * margins.M_d
+        real = minco.MincoTrajectory.eval_many
+        points = []
+
+        def counted(self, ts, order=0):
+            points.append(np.size(ts))
+            return real(self, ts, order)
+
+        monkeypatch.setattr(minco.MincoTrajectory, "eval_many", counted)
+        penalty._worst_one_sided(a, b, margins, res)
+        n_t = len(penalty._closed_grid(a.t0, a.t_end, res))
+        n_v = len(penalty._closed_grid(-2 * margins.M_d, 2 * margins.M_d, res))
+        assert sum(points) <= 0.25 * n_t * n_v
