@@ -111,11 +111,7 @@ def cmd_fleet(args) -> int:
     cfg, rng = _setup(args)
     polymap = io.load_polymap(args.polymap)
     missions = io.load_missions(args.missions)
-    model = cfg.vehicle_model()
-    limits = cfg.limit_set()
-    margins = cfg.safety_margins()
-    pconfig = cfg.penalty_config()
-    options = cfg.solve_options()
+    margins = cfg.margins
     db = fleetmod.FleetDb(polymap, margins)
 
     log = []
@@ -123,9 +119,9 @@ def cmd_fleet(args) -> int:
         entry = {"id": mission.id, "t_o": mission.t_o}
         try:
             traj, report = optimize.plan_mission(
-                polymap, mission, db.trajectories(), model=model,
-                limits=limits, margins=margins, pconfig=pconfig, rng=rng,
-                options=options)
+                polymap, mission, db.trajectories(), model=cfg.vehicle,
+                limits=cfg.limits, margins=margins, pconfig=cfg.penalty,
+                rng=rng, options=cfg.solver)
             db.commit(mission.id, traj)
             fname = f"traj_{mission.id}.json"
             io.save_trajectory(os.path.join(args.out, fname), traj)
@@ -170,9 +166,7 @@ def cmd_fleet(args) -> int:
 def cmd_check(args) -> int:
     cfg, _ = _setup(args)
     polymap = io.load_polymap(args.polymap)
-    model = cfg.vehicle_model()
-    limits = cfg.limit_set()
-    margins = cfg.safety_margins()
+    margins = cfg.margins
     trajs = {os.path.basename(p): io.load_trajectory(p)
              for p in args.trajectories}
     failures = []
@@ -182,7 +176,7 @@ def cmd_check(args) -> int:
     for name, traj in trajs.items():
         try:
             post = optimize.post_check(traj, polymap.polytopes, (), margins,
-                                       model, limits)
+                                       cfg.vehicle, cfg.limits)
         except PostCheckFailure as exc:
             post = exc.margins
             failures.append(f"{name}: {exc}")
@@ -209,7 +203,6 @@ def cmd_check(args) -> int:
 
 def cmd_robustness(args) -> int:
     cfg, rng = _setup(args)
-    margins = cfg.safety_margins()
     names = sorted(fn for fn in os.listdir(args.fleet_dir)
                    if fn.startswith("traj_") and fn.endswith(".json"))
     if len(names) < 2:
@@ -222,7 +215,7 @@ def cmd_robustness(args) -> int:
         raise _UsageError(f"bad --grid value: {exc}") from exc
     if not grid:
         raise _UsageError("empty --grid")
-    rows = fleetmod.robustness_experiment(trajs, margins, grid, rng,
+    rows = fleetmod.robustness_experiment(trajs, cfg.margins, grid, rng,
                                           trials=args.trials,
                                           regime=args.regime)
     out_path = os.path.join(args.out, "robustness.csv")
@@ -236,7 +229,7 @@ def cmd_robustness(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg, _ = _setup(args)
-    model = cfg.vehicle_model()
+    model = cfg.vehicle
     traj = io.load_trajectory(args.traj)
     n = int(np.floor(traj.total_duration * PROFILE_HZ)) + 1
     ts = traj.t0 + np.arange(n) / PROFILE_HZ

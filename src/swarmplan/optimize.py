@@ -53,6 +53,11 @@ POST_LIMITS_TOL = 1e-3
 # M_r, as the audit grid is finer than the penalty's.
 RETRY_FACTOR = 2
 
+# solve divides the penalty mu by MU_SHRINK between continuation rounds and
+# rejects a step whose log-duration tau leaves [-TAU_BOUND, TAU_BOUND].
+MU_SHRINK = 4.0
+TAU_BOUND = 12.0
+
 
 class CoordinateChart:
     """Unconstrained coordinates for the junction waypoints of a corridor.
@@ -219,10 +224,11 @@ def chart_invert(chart: CoordinateChart, waypoints, durations):
 class SolveOptions:
     gtol: float = 1e-5          # relative to the initial gradient inf-norm
     max_iter: int = 500
-    memory: int = 10
     mu_rounds: int = 1          # continuation rounds over the penalty mu
-    mu_shrink: float = 4.0
-    tau_bound: float = 12.0     # |tau| beyond this rejects the step
+
+    def __post_init__(self):
+        if not self.gtol > 0.0:
+            raise ValueError(f"gtol must be positive, got {self.gtol}")
 
 
 @dataclass
@@ -241,8 +247,7 @@ class SolveReport:
 
 def chart_objective(chart: CoordinateChart, t0: float, boundary, x, *,
                     pconfig, model=None, limits=None, margins=None,
-                    corridor_polys=None, neighbors=(), yaw_plan=None,
-                    tau_bound: float = 12.0, parts_out=None):
+                    corridor_polys=None, neighbors=(), yaw_plan=None):
     """Composite objective and gradient at stacked coordinates [xi, tau].
 
     Degenerate points (vanishing chart block, tau outside its bound, or a
@@ -251,7 +256,7 @@ def chart_objective(chart: CoordinateChart, t0: float, boundary, x, *,
     """
     n_xi = chart.dim
     tau = x[n_xi:]
-    if np.any(np.abs(tau) > tau_bound):
+    if np.any(np.abs(tau) > TAU_BOUND):
         return np.inf, np.zeros_like(x)
     xis = chart.split(x[:n_xi])
     for xi in xis:
@@ -271,15 +276,13 @@ def chart_objective(chart: CoordinateChart, t0: float, boundary, x, *,
     g = np.empty_like(x)
     g[:n_xi] = chart.pullback(xis, q, d_q)
     g[n_xi:] = d_T * T
-    if parts_out is not None:
-        parts_out.append((float(total), dict(parts)))
     return float(total), g
 
 
 def solve(chart: CoordinateChart, t0: float, boundary, xi0, tau0, *,
           pconfig, model=None, limits=None, margins=None,
           corridor_polys=None, neighbors=(), yaw_plan=None,
-          options: SolveOptions | None = None, trace=None) -> SolveReport:
+          options: SolveOptions | None = None) -> SolveReport:
     """Minimize the composite penalized objective over (xi, tau).
 
     Points where the flatness map degenerates or tau leaves its bound are
@@ -291,7 +294,6 @@ def solve(chart: CoordinateChart, t0: float, boundary, xi0, tau0, *,
     tau0 = np.asarray(tau0, dtype=float).reshape(-1)
     x = np.concatenate([chart.join(xi0), tau0])
     neighbors = list(neighbors)
-    eval_log = [] if trace is not None else None
 
     def make_fg(cfg):
         def fg(xv):
@@ -299,27 +301,18 @@ def solve(chart: CoordinateChart, t0: float, boundary, xi0, tau0, *,
                                    model=model, limits=limits,
                                    margins=margins,
                                    corridor_polys=corridor_polys,
-                                   neighbors=neighbors, yaw_plan=yaw_plan,
-                                   tau_bound=opts.tau_bound,
-                                   parts_out=eval_log)
+                                   neighbors=neighbors, yaw_plan=yaw_plan)
         return fg
 
     cfg = pconfig
     rounds = max(opts.mu_rounds, 1)
     res = None
     for r in range(rounds):
-        res = solver.minimize(make_fg(cfg), x, memory=opts.memory,
-                              gtol=opts.gtol, gtol_is_relative=True,
-                              max_iter=opts.max_iter, trace=trace is not None)
+        res = solver.minimize(make_fg(cfg), x, gtol=opts.gtol,
+                              gtol_is_relative=True, max_iter=opts.max_iter)
         x = res.x
         if r + 1 < rounds:
-            cfg = replace(cfg, mu=cfg.mu / opts.mu_shrink)
-
-    if trace is not None and res.trace:
-        by_value = {f: parts for f, parts in eval_log}
-        for (it, f, ginf) in res.trace:
-            parts = by_value.get(f, {})
-            trace.append((it, f, ginf, parts))
+            cfg = replace(cfg, mu=cfg.mu / MU_SHRINK)
 
     xis = chart.split(x[:n_xi])
     tau = x[n_xi:]

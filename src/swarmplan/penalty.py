@@ -31,9 +31,9 @@ class PenaltyConfig:
     w2: float = 1e5
     w3: float = 1e5
     rho: float = 1e-3
-    n_q: int = 16
-    n_t: int = 8
-    n_v: int = 16
+    n_q: int = 16    # quadrature nodes per piece: corridor and limits
+    n_t: int = 8     # capsule nodes per piece on the mission's clock
+    n_v: int = 16    # capsule delay offsets across [-2 M_d, 2 M_d]
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -231,7 +231,7 @@ def capsule_penalty(traj, neighbors, margins, config):
 def limits_penalty(traj, model, limits, yaw_plan, config):
     """I3: physical limits through the flatness map at quadrature nodes."""
     M = traj.n_pieces
-    alpha, coef = _piece_nodes(config.n_v)
+    alpha, coef = _piece_nodes(config.n_q)
     total = 0.0
     bundle = minco.GradientBundle.zeros(M)
     for i in range(M):

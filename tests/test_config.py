@@ -1,10 +1,17 @@
-"""Config parsing: typos are rejected, and the acceleration cap."""
+"""Config parsing: typos and bad values are rejected with the section's
+name, each section is the planner's own class, and the acceleration cap."""
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swarmplan.config import config_from_dict
+from swarmplan.cli import main
+from swarmplan.config import RunConfig, config_from_dict
 from swarmplan.dynamics import Limits, VehicleModel
+from swarmplan.optimize import SolveOptions
+from swarmplan.penalty import PenaltyConfig
 
 
 @pytest.mark.parametrize("data, message", [
@@ -29,3 +36,53 @@ def test_a_max_defaults_to_accel_cap():
         9.81 * np.tan(np.pi / 9))
     assert Limits(theta_max=np.pi / 3).accel_cap(model) == pytest.approx(
         28.5 / 1.9 - 9.81)
+
+
+BAD_VALUES = [
+    ("vehicle", "m", 0.0),
+    ("vehicle", "eta", 0.0),
+    ("vehicle", "d_h", -1.0),
+    ("vehicle", "d_v", 5.0),             # drag guard
+    ("vehicle", "c_p", 0.01),            # the key is C_p, as in VehicleModel
+    ("limits", "v_max", 0.0),
+    ("limits", "f_max", 9.0),
+    ("limits", "theta_max", 3.2),
+    ("limits", "f_max", 18.0),           # no acceleration margin
+    ("margins", "M_r", 0.0),
+    ("margins", "M_d", -1.0),
+    ("margins", "w", 0.0),
+    ("margins", "w", 2.0),
+    ("penalty", "mu", 0.0),
+    ("penalty", "w2", -1.0),
+    ("penalty", "n_t", 5),
+    ("solver", "gtol", 0.0),
+    ("solver", "memory", 10),            # solver.minimize's default, fixed
+    ("map", "epsilon", 0.0),
+    ("map", "bounds_hi", [0.0, 0.0, 0.0]),
+    ("seed", None, -1),
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_VALUES)
+def test_bad_value_fails_naming_its_section(section, key, value):
+    data = {section: value if key is None else {key: value}}
+    with pytest.raises(ValueError, match=f"'{section}'"):
+        config_from_dict(data)
+
+
+def test_cli_exits_1_on_bad_value(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"margins": {"w": 2.0}}))
+    assert main(["profile", "--config", str(path), "--out", str(tmp_path),
+                 "--traj", str(tmp_path / "absent.json")]) == 1
+    assert "config section 'margins'" in capsys.readouterr().err
+
+
+def test_one_definition_per_setting():
+    cfg = RunConfig()
+    assert cfg.vehicle == VehicleModel()
+    assert cfg.limits == Limits()
+    assert cfg.penalty == PenaltyConfig()
+    assert cfg.solver == SolveOptions()
+    assert (config_from_dict({"penalty": {"rho": 1.0}}).penalty
+            == replace(PenaltyConfig(), rho=1.0))

@@ -172,14 +172,12 @@ class TestSolve:
                   corridor_polys=polys)
         x0 = np.concatenate([chart.join(xi0), tau0])
         f0, _ = chart_objective(chart, 0.0, boundary, x0, **kw)
-        trace = []
         rep = solve(chart, 0.0, boundary, xi0, tau0, yaw_plan=None,
-                    options=SolveOptions(max_iter=120), trace=trace, **kw)
+                    options=SolveOptions(max_iter=120), **kw)
         assert rep.objective <= f0
         assert rep.traj.t0 == 0.0
         assert np.all(rep.traj.T > 0.0)
         assert {"I0", "I1", "I3"} <= set(rep.parts)
-        assert len(trace) == rep.iterations
         # Endpoint interpolation survives the solve.
         assert np.allclose(rep.traj.eval_many(np.array([rep.traj.t0]), 0)[0],
                            corridor.p_start, atol=1e-8)

@@ -247,6 +247,22 @@ class TestLimitsPenalty:
                                         ConstantYaw(), pconfig)
         assert val > 0.0
 
+    def test_nodes_follow_n_q_not_n_v(self, model, limits):
+        # n_v counts the capsule's delay offsets; the limits quadrature
+        # takes its node count from n_q alone.
+        start = minco.BoundaryState(np.zeros(3), np.zeros(3), np.zeros(3))
+        end = minco.BoundaryState(np.array([60.0, 0.0, 0.0]),
+                                  np.zeros(3), np.zeros(3))
+        traj = minco.construct(0.0, [1.5, 1.5], np.array([[30.0, 0.0, 0.0]]),
+                               start, end)
+        out = [penalty.limits_penalty(traj, model, limits, ConstantYaw(),
+                                      PenaltyConfig(n_q=16, n_v=n_v))
+               for n_v in (8, 16)]
+        (v8, b8), (v16, b16) = out
+        assert v8 > 0.0 and v8 == v16
+        assert np.array_equal(b8.d_coeffs, b16.d_coeffs)
+        assert np.array_equal(b8.d_T, b16.d_T)
+
     @pytest.mark.parametrize("plan", [ConstantYaw(0.3), TangentYaw()])
     def test_gradient_matches_fd(self, pconfig, model, limits, plan):
         rng = np.random.default_rng(9)
