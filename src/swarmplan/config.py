@@ -42,6 +42,11 @@ class MapSection:
         bh = np.asarray(self.bounds_hi, dtype=float)
         if bl.shape != (3,) or bh.shape != (3,) or np.any(bh <= bl):
             raise ValueError("bounds must be two ordered 3-vectors")
+        if not self.local_halfwidth > 0.0:
+            raise ValueError("local_halfwidth must be positive, got "
+                             f"{self.local_halfwidth}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
 
 
 @dataclass

@@ -229,6 +229,9 @@ class SolveOptions:
     def __post_init__(self):
         if not self.gtol > 0.0:
             raise ValueError(f"gtol must be positive, got {self.gtol}")
+        if self.max_iter < 1 or self.mu_rounds < 1:
+            raise ValueError("max_iter and mu_rounds must be at least 1, got "
+                             f"{self.max_iter} and {self.mu_rounds}")
 
 
 @dataclass
@@ -305,13 +308,12 @@ def solve(chart: CoordinateChart, t0: float, boundary, xi0, tau0, *,
         return fg
 
     cfg = pconfig
-    rounds = max(opts.mu_rounds, 1)
     res = None
-    for r in range(rounds):
+    for r in range(opts.mu_rounds):
         res = solver.minimize(make_fg(cfg), x, gtol=opts.gtol,
                               gtol_is_relative=True, max_iter=opts.max_iter)
         x = res.x
-        if r + 1 < rounds:
+        if r + 1 < opts.mu_rounds:
             cfg = replace(cfg, mu=cfg.mu / MU_SHRINK)
 
     xis = chart.split(x[:n_xi])

@@ -12,6 +12,12 @@ limits through the flatness map.  Every functional returns its value and
 exact gradients with respect to piece coefficients and durations; node
 positions scale with the piece duration, so durations enter both the
 quadrature weights and the node times.
+
+I1, I2 and I3 evaluate all pieces' nodes in one stacked pass
+(_stacked_nodes): one batched basis product per derivative order, and for
+I3 one flat_batch call.  Only the scalar sums run piece by piece, in piece
+order, so values and gradients are bit-identical to evaluating one piece at
+a time (tests/oracles.py keeps those per-piece loops as the reference).
 """
 
 from bisect import bisect_right
@@ -99,6 +105,54 @@ def _piece_nodes(n):
     return alpha, coef / (n - 1)
 
 
+@dataclass
+class _Nodes:
+    """n quadrature nodes on each of a trajectory's M pieces, stacked."""
+
+    alpha: np.ndarray   # (n,) node fractions of the piece
+    coef: np.ndarray    # (n,) trapezoid coefficients on [0, 1]
+    ts: np.ndarray      # (M, n) local node times alpha T_i
+    wt: np.ndarray      # (M, n) quadrature weights coef T_i
+    basis: dict         # order -> (M, n, 6) basis at the nodes
+    deriv: dict         # order -> (M, n, 3) derivative at the nodes
+
+
+def _stacked_nodes(traj, n, orders):
+    """Nodes, weights, basis and derivatives of the given orders on every
+    piece at once; each derivative is one batched matmul of the basis with
+    the (M, 6, 3) coefficients, which equals the per-piece products."""
+    alpha, coef = _piece_nodes(n)
+    T = traj.T[:, None]
+    ts = alpha * T
+    basis = {k: minco.basis_many(ts, k).reshape(traj.n_pieces, n, 6)
+             for k in orders}
+    deriv = {k: np.matmul(b, traj.coeffs) for k, b in basis.items()}
+    return _Nodes(alpha, coef, ts, coef * T, basis, deriv)
+
+
+def _integrate(nodes, h, h_dot, grads, bundle, total=0.0):
+    """Add the quadrature of the integrand h (M, n) to total and its
+    gradient to bundle; returns the total.
+
+    h_dot is dh/dt along the piece and grads maps a derivative order k to
+    dh/d(derivative k), (M, n, 3).  A duration moves both the weights and
+    the node times.  The scalar sums stay per piece and in piece order: an
+    einsum over all rows rounds differently from each piece's dot product.
+    """
+    for i in range(len(h)):
+        wt = nodes.wt[i]
+        total += float(wt @ h[i])
+        bundle.d_T[i] += float(np.sum(nodes.coef * h[i])
+                               + np.sum(wt * h_dot[i] * nodes.alpha))
+    w = nodes.wt[:, :, None]
+    d_coeffs = None
+    for k, g in grads.items():
+        term = np.matmul(nodes.basis[k].transpose(0, 2, 1), w * g)
+        d_coeffs = term if d_coeffs is None else d_coeffs + term
+    bundle.d_coeffs += d_coeffs
+    return total
+
+
 def objective(traj, config):
     """I0: integrated squared jerk plus rho times total time."""
     val, bundle = minco.energy(traj)
@@ -112,27 +166,24 @@ def corridor_penalty(traj, polytopes, config):
     M = traj.n_pieces
     if len(polytopes) != M:
         raise ValueError("expected one corridor polytope per piece")
-    alpha, coef = _piece_nodes(config.n_q)
-    total = 0.0
+    n = config.n_q
+    nodes = _stacked_nodes(traj, n, (0, 1))
+    pos = nodes.deriv[0]
+    # Face counts differ, so the violations are ragged: one phi_arr over
+    # all of them, cut back to pieces.
+    viol = [pos[i] @ poly.normals.T - poly.offsets
+            for i, poly in enumerate(polytopes)]
+    val, der = phi_arr(config.mu, np.concatenate([v.ravel() for v in viol]))
+    cuts = np.cumsum([v.size for v in viol])[:-1]
+    h = np.empty((M, n))
+    S = np.empty((M, n, 3))
+    for i, (poly, v_i, d_i) in enumerate(zip(polytopes, np.split(val, cuts),
+                                             np.split(der, cuts))):
+        h[i] = np.sum(v_i.reshape(n, -1), axis=1)
+        S[i] = d_i.reshape(n, -1) @ poly.normals
+    h_dot = np.sum(S * nodes.deriv[1], axis=2)
     bundle = minco.GradientBundle.zeros(M)
-    for i in range(M):
-        Ti = traj.T[i]
-        ts = alpha * Ti
-        wt = coef * Ti
-        B0 = minco.basis_many(ts, 0)
-        B1 = minco.basis_many(ts, 1)
-        ci = traj.coeffs[i]
-        pos = B0 @ ci
-        vel = B1 @ ci
-        poly = polytopes[i]
-        viol = pos @ poly.normals.T - poly.offsets
-        val, der = phi_arr(config.mu, viol)
-        h = np.sum(val, axis=1)
-        total += float(wt @ h)
-        S = der @ poly.normals
-        bundle.d_coeffs[i] += B0.T @ (wt[:, None] * S)
-        h_dot = np.sum(S * vel, axis=1)
-        bundle.d_T[i] += float(np.sum(coef * h) + np.sum(wt * h_dot * alpha))
+    total = _integrate(nodes, h, h_dot, {0: S}, bundle)
     return total, bundle
 
 
@@ -149,10 +200,11 @@ def _coeff_bound_boxes(traj):
     return lo.min(axis=0), hi.max(axis=0)
 
 
-def _box_gap(traj, nb, margins):
-    """Weighted gap between the coefficient boxes: a lower bound of the
-    weighted distance at any two times, parked endpoints included."""
-    lo_a, hi_a = _coeff_bound_boxes(traj)
+def _box_gap(box, nb, margins):
+    """Weighted gap between a trajectory's coefficient box and the
+    neighbor's: a lower bound of the weighted distance at any two times,
+    parked endpoints included."""
+    lo_a, hi_a = box
     lo_b, hi_b = _coeff_bound_boxes(nb)
     scale = np.sqrt(margins.W_diag)
     gap = np.maximum(lo_b - hi_a, lo_a - hi_b)
@@ -160,9 +212,12 @@ def _box_gap(traj, nb, margins):
     return float(np.linalg.norm(gap))
 
 
-def _prunable(traj, nb, margins):
-    """True when phi can be proven zero for the whole neighbor."""
-    return _box_gap(traj, nb, margins) > 2.0 * margins.M_r
+def _prunable(traj, nb, margins, box=None):
+    """True when phi can be proven zero for the whole neighbor; box is
+    traj's coefficient box, for a caller that already has it."""
+    if box is None:
+        box = _coeff_bound_boxes(traj)
+    return _box_gap(box, nb, margins) > 2.0 * margins.M_r
 
 
 def capsule_penalty(traj, neighbors, margins, config):
@@ -178,7 +233,7 @@ def capsule_penalty(traj, neighbors, margins, config):
     total = 0.0
     if not neighbors:
         return total, bundle
-    alpha, coef = _piece_nodes(config.n_t)
+    n = config.n_t
     if margins.M_d > 0.0:
         v_nodes = np.linspace(-2.0 * margins.M_d, 2.0 * margins.M_d, config.n_v)
         v_wt = np.full(config.n_v, 4.0 * margins.M_d / (config.n_v - 1))
@@ -191,36 +246,27 @@ def capsule_penalty(traj, neighbors, margins, config):
     Wd = margins.W_diag
     thresh = 4.0 * margins.M_r ** 2
 
-    offsets = traj.knots[:-1]
+    nodes = _stacked_nodes(traj, n, (0, 1))
+    pos, vel = nodes.deriv[0], nodes.deriv[1]
+    t_abs = traj.knots[:-1, None] + nodes.ts
+    grid = (t_abs[:, :, None] + v_nodes).ravel()
+    box = _coeff_bound_boxes(traj)
     for nb in neighbors:
-        if _prunable(traj, nb, margins):
+        if _prunable(traj, nb, margins, box):
             continue
-        s_per_piece = np.zeros(M)
-        for i in range(M):
-            Ti = traj.T[i]
-            ts = alpha * Ti
-            wt = coef * Ti
-            B0 = minco.basis_many(ts, 0)
-            B1 = minco.basis_many(ts, 1)
-            ci = traj.coeffs[i]
-            pos = B0 @ ci
-            vel = B1 @ ci
-            t_abs = offsets[i] + ts
-            grid = t_abs[:, None] + v_nodes[None, :]
-            nb_pos = nb.eval_many(grid.ravel(), 0).reshape(len(ts), -1, 3)
-            nb_vel = nb.eval_many(grid.ravel(), 1).reshape(len(ts), -1, 3)
-            d = pos[:, None, :] - nb_pos
-            wd = d * Wd
-            arg = thresh - np.sum(d * wd, axis=2)
-            val, der = phi_arr(config.mu, arg)
-            h = val @ v_wt
-            total += float(wt @ h)
-            g_pos = np.einsum("kl,l,klx->kx", der, v_wt, -2.0 * wd)
-            s_t = np.einsum("kl,l,klx,klx->k", der, v_wt, 2.0 * wd, nb_vel)
-            bundle.d_coeffs[i] += B0.T @ (wt[:, None] * g_pos)
-            h_dot = np.sum(g_pos * vel, axis=1) + s_t
-            bundle.d_T[i] += float(np.sum(coef * h) + np.sum(wt * h_dot * alpha))
-            s_per_piece[i] = float(np.sum(wt * s_t))
+        nb_pos = nb.eval_many(grid, 0).reshape(M, n, -1, 3)
+        nb_vel = nb.eval_many(grid, 1).reshape(M, n, -1, 3)
+        d = pos[:, :, None, :] - nb_pos
+        wd = d * Wd
+        arg = thresh - np.sum(d * wd, axis=3)
+        val, der = phi_arr(config.mu, arg)
+        h = np.matmul(val, v_wt)
+        g_pos = np.einsum("mkl,l,mklx->mkx", der, v_wt, -2.0 * wd)
+        s_t = np.einsum("mkl,l,mklx,mklx->mk", der, v_wt, 2.0 * wd, nb_vel)
+        h_dot = np.sum(g_pos * vel, axis=2) + s_t
+        total = _integrate(nodes, h, h_dot, {0: g_pos}, bundle, total)
+        s_per_piece = np.array([float(np.sum(nodes.wt[i] * s_t[i]))
+                                for i in range(M)])
         # A longer piece j delays every node of pieces j+1.. on the absolute
         # clock, shifting where the neighbor is sampled.
         later = np.concatenate([np.cumsum(s_per_piece[::-1])[::-1][1:], [0.0]])
@@ -231,50 +277,37 @@ def capsule_penalty(traj, neighbors, margins, config):
 def limits_penalty(traj, model, limits, yaw_plan, config):
     """I3: physical limits through the flatness map at quadrature nodes."""
     M = traj.n_pieces
-    alpha, coef = _piece_nodes(config.n_q)
-    total = 0.0
+    n = config.n_q
+    nodes = _stacked_nodes(traj, n, (1, 2, 3, 4))
+    vel, acc, jer, snp = (nodes.deriv[k].reshape(-1, 3) for k in (1, 2, 3, 4))
+    psi, dpsi, pgrad = yaw_plan.eval(vel, acc)
+    flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=True)
+    G = limits_residual_batch(limits, flat)
+    val, der = phi_arr(config.mu, G)
+    h = np.sum(val, axis=1)
+
+    om_w = 2.0 * der[:, 1:2] * flat["omega"]           # (M n, 3)
+    f_w = (2.0 * der[:, 3] * (flat["f"] - limits.f_m))[:, None]
+    g_v = (2.0 * der[:, 0:1] * vel
+           + np.einsum("nx,nxj->nj", om_w, flat["om_v"])
+           - der[:, 2:3] * flat["zb_v"][:, 2, :]
+           + f_w * flat["f_v"])
+    g_a = (np.einsum("nx,nxj->nj", om_w, flat["om_a"])
+           - der[:, 2:3] * flat["zb_a"][:, 2, :]
+           + f_w * flat["f_a"])
+    g_j = np.einsum("nx,nxj->nj", om_w, flat["om_j"])
+    if pgrad is not None:
+        h_psi = np.sum(om_w * flat["om_psi"], axis=1)
+        h_dpsi = np.sum(om_w * flat["om_dpsi"], axis=1)
+        g_v += h_psi[:, None] * pgrad["psi_v"] + h_dpsi[:, None] * pgrad["dpsi_v"]
+        g_a += h_psi[:, None] * pgrad["psi_a"] + h_dpsi[:, None] * pgrad["dpsi_a"]
+
+    h_dot = (np.sum(g_v * acc, axis=1) + np.sum(g_a * jer, axis=1)
+             + np.sum(g_j * snp, axis=1))
     bundle = minco.GradientBundle.zeros(M)
-    for i in range(M):
-        Ti = traj.T[i]
-        ts = alpha * Ti
-        wt = coef * Ti
-        ci = traj.coeffs[i]
-        B = [minco.basis_many(ts, k) for k in range(5)]
-        vel = B[1] @ ci
-        acc = B[2] @ ci
-        jer = B[3] @ ci
-        snp = B[4] @ ci
-        psi, dpsi, pgrad = yaw_plan.eval(vel, acc)
-        flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=True)
-        G = limits_residual_batch(limits, flat)
-        val, der = phi_arr(config.mu, G)
-        h = np.sum(val, axis=1)
-        total += float(wt @ h)
-
-        om = flat["omega"]
-        om_w = 2.0 * der[:, 1:2] * om                      # (n,3)
-        g_v = (2.0 * der[:, 0:1] * vel
-               + np.einsum("nx,nxj->nj", om_w, flat["om_v"])
-               - der[:, 2:3] * flat["zb_v"][:, 2, :]
-               + (2.0 * der[:, 3] * (flat["f"] - limits.f_m))[:, None]
-               * flat["f_v"])
-        g_a = (np.einsum("nx,nxj->nj", om_w, flat["om_a"])
-               - der[:, 2:3] * flat["zb_a"][:, 2, :]
-               + (2.0 * der[:, 3] * (flat["f"] - limits.f_m))[:, None]
-               * flat["f_a"])
-        g_j = np.einsum("nx,nxj->nj", om_w, flat["om_j"])
-        if pgrad is not None:
-            h_psi = np.sum(om_w * flat["om_psi"], axis=1)
-            h_dpsi = np.sum(om_w * flat["om_dpsi"], axis=1)
-            g_v += h_psi[:, None] * pgrad["psi_v"] + h_dpsi[:, None] * pgrad["dpsi_v"]
-            g_a += h_psi[:, None] * pgrad["psi_a"] + h_dpsi[:, None] * pgrad["dpsi_a"]
-
-        bundle.d_coeffs[i] += (B[1].T @ (wt[:, None] * g_v)
-                               + B[2].T @ (wt[:, None] * g_a)
-                               + B[3].T @ (wt[:, None] * g_j))
-        h_dot = (np.sum(g_v * acc, axis=1) + np.sum(g_a * jer, axis=1)
-                 + np.sum(g_j * snp, axis=1))
-        bundle.d_T[i] += float(np.sum(coef * h) + np.sum(wt * h_dot * alpha))
+    total = _integrate(nodes, h.reshape(M, n), h_dot.reshape(M, n),
+                       {1: g_v.reshape(M, n, 3), 2: g_a.reshape(M, n, 3),
+                        3: g_j.reshape(M, n, 3)}, bundle)
     return total, bundle
 
 
@@ -357,7 +390,7 @@ def check_equivalent_criterion(traj_a, traj_b, margins, resolution):
     """
     if resolution <= 0.0:
         raise ValueError("grid resolution must be positive")
-    gap = _box_gap(traj_a, traj_b, margins)
+    gap = _box_gap(_coeff_bound_boxes(traj_a), traj_b, margins)
     if gap > 2.0 * margins.M_r:
         return True, gap - 2.0 * margins.M_r, (np.nan, np.nan)
     d_ab, (t_a, t_b) = _worst_one_sided(traj_a, traj_b, margins, resolution)

@@ -2,10 +2,16 @@
 
 Everything here is written the slow, obvious way on purpose: dense linear
 algebra, exhaustive grids, closed forms.  None of it shares assembly or
-solver code with the package.
+solver code with the package, except the per-piece penalty loops at the
+end: they are the package's earlier form of its quadrature functionals,
+kept to pin the stacked pass bit for bit, so they call its kernels.
 """
 
 import numpy as np
+
+from swarmplan import minco
+from swarmplan.dynamics import flat_batch, limits_residual_batch
+from swarmplan.penalty import _piece_nodes, _prunable, phi_arr
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +328,149 @@ def rollout_rk4(m, g, d_h, d_v, c_p, r0, v0, R0, times, thrusts, omegas):
         q = q_1 / np.linalg.norm(q_1)
         out.append(r.copy())
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# per-piece quadrature functionals: one piece at a time, as the package
+# computed them before its stacked pass
+
+def per_piece_corridor_penalty(traj, polytopes, config):
+    """I1: corridor containment enforced piecewise at quadrature nodes."""
+    M = traj.n_pieces
+    if len(polytopes) != M:
+        raise ValueError("expected one corridor polytope per piece")
+    alpha, coef = _piece_nodes(config.n_q)
+    total = 0.0
+    bundle = minco.GradientBundle.zeros(M)
+    for i in range(M):
+        Ti = traj.T[i]
+        ts = alpha * Ti
+        wt = coef * Ti
+        B0 = minco.basis_many(ts, 0)
+        B1 = minco.basis_many(ts, 1)
+        ci = traj.coeffs[i]
+        pos = B0 @ ci
+        vel = B1 @ ci
+        poly = polytopes[i]
+        viol = pos @ poly.normals.T - poly.offsets
+        val, der = phi_arr(config.mu, viol)
+        h = np.sum(val, axis=1)
+        total += float(wt @ h)
+        S = der @ poly.normals
+        bundle.d_coeffs[i] += B0.T @ (wt[:, None] * S)
+        h_dot = np.sum(S * vel, axis=1)
+        bundle.d_T[i] += float(np.sum(coef * h) + np.sum(wt * h_dot * alpha))
+    return total, bundle
+
+
+def per_piece_capsule_penalty(traj, neighbors, margins, config):
+    """I2: space-time capsule separation from committed neighbors.
+
+    For each quadrature node at absolute time t the neighbor is scanned over
+    t + v, v in [-2 M_d, 2 M_d].  Durations move both the node inside its own
+    piece and the absolute clock of every later node, so earlier pieces pick
+    up gradient through the neighbor's local velocity.
+    """
+    M = traj.n_pieces
+    bundle = minco.GradientBundle.zeros(M)
+    total = 0.0
+    if not neighbors:
+        return total, bundle
+    alpha, coef = _piece_nodes(config.n_t)
+    if margins.M_d > 0.0:
+        v_nodes = np.linspace(-2.0 * margins.M_d, 2.0 * margins.M_d, config.n_v)
+        v_wt = np.full(config.n_v, 4.0 * margins.M_d / (config.n_v - 1))
+        v_wt[0] *= 0.5
+        v_wt[-1] *= 0.5
+    else:
+        # Degenerate capsule: pure same-instant distance penalty.
+        v_nodes = np.array([0.0])
+        v_wt = np.array([1.0])
+    Wd = margins.W_diag
+    thresh = 4.0 * margins.M_r ** 2
+
+    offsets = traj.knots[:-1]
+    for nb in neighbors:
+        if _prunable(traj, nb, margins):
+            continue
+        s_per_piece = np.zeros(M)
+        for i in range(M):
+            Ti = traj.T[i]
+            ts = alpha * Ti
+            wt = coef * Ti
+            B0 = minco.basis_many(ts, 0)
+            B1 = minco.basis_many(ts, 1)
+            ci = traj.coeffs[i]
+            pos = B0 @ ci
+            vel = B1 @ ci
+            t_abs = offsets[i] + ts
+            grid = t_abs[:, None] + v_nodes[None, :]
+            nb_pos = nb.eval_many(grid.ravel(), 0).reshape(len(ts), -1, 3)
+            nb_vel = nb.eval_many(grid.ravel(), 1).reshape(len(ts), -1, 3)
+            d = pos[:, None, :] - nb_pos
+            wd = d * Wd
+            arg = thresh - np.sum(d * wd, axis=2)
+            val, der = phi_arr(config.mu, arg)
+            h = val @ v_wt
+            total += float(wt @ h)
+            g_pos = np.einsum("kl,l,klx->kx", der, v_wt, -2.0 * wd)
+            s_t = np.einsum("kl,l,klx,klx->k", der, v_wt, 2.0 * wd, nb_vel)
+            bundle.d_coeffs[i] += B0.T @ (wt[:, None] * g_pos)
+            h_dot = np.sum(g_pos * vel, axis=1) + s_t
+            bundle.d_T[i] += float(np.sum(coef * h) + np.sum(wt * h_dot * alpha))
+            s_per_piece[i] = float(np.sum(wt * s_t))
+        # A longer piece j delays every node of pieces j+1.. on the absolute
+        # clock, shifting where the neighbor is sampled.
+        later = np.concatenate([np.cumsum(s_per_piece[::-1])[::-1][1:], [0.0]])
+        bundle.d_T += later
+    return total, bundle
+
+
+def per_piece_limits_penalty(traj, model, limits, yaw_plan, config):
+    """I3: physical limits through the flatness map at quadrature nodes."""
+    M = traj.n_pieces
+    alpha, coef = _piece_nodes(config.n_q)
+    total = 0.0
+    bundle = minco.GradientBundle.zeros(M)
+    for i in range(M):
+        Ti = traj.T[i]
+        ts = alpha * Ti
+        wt = coef * Ti
+        ci = traj.coeffs[i]
+        B = [minco.basis_many(ts, k) for k in range(5)]
+        vel = B[1] @ ci
+        acc = B[2] @ ci
+        jer = B[3] @ ci
+        snp = B[4] @ ci
+        psi, dpsi, pgrad = yaw_plan.eval(vel, acc)
+        flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=True)
+        G = limits_residual_batch(limits, flat)
+        val, der = phi_arr(config.mu, G)
+        h = np.sum(val, axis=1)
+        total += float(wt @ h)
+
+        om = flat["omega"]
+        om_w = 2.0 * der[:, 1:2] * om                      # (n,3)
+        g_v = (2.0 * der[:, 0:1] * vel
+               + np.einsum("nx,nxj->nj", om_w, flat["om_v"])
+               - der[:, 2:3] * flat["zb_v"][:, 2, :]
+               + (2.0 * der[:, 3] * (flat["f"] - limits.f_m))[:, None]
+               * flat["f_v"])
+        g_a = (np.einsum("nx,nxj->nj", om_w, flat["om_a"])
+               - der[:, 2:3] * flat["zb_a"][:, 2, :]
+               + (2.0 * der[:, 3] * (flat["f"] - limits.f_m))[:, None]
+               * flat["f_a"])
+        g_j = np.einsum("nx,nxj->nj", om_w, flat["om_j"])
+        if pgrad is not None:
+            h_psi = np.sum(om_w * flat["om_psi"], axis=1)
+            h_dpsi = np.sum(om_w * flat["om_dpsi"], axis=1)
+            g_v += h_psi[:, None] * pgrad["psi_v"] + h_dpsi[:, None] * pgrad["dpsi_v"]
+            g_a += h_psi[:, None] * pgrad["psi_a"] + h_dpsi[:, None] * pgrad["dpsi_a"]
+
+        bundle.d_coeffs[i] += (B[1].T @ (wt[:, None] * g_v)
+                               + B[2].T @ (wt[:, None] * g_a)
+                               + B[3].T @ (wt[:, None] * g_j))
+        h_dot = (np.sum(g_v * acc, axis=1) + np.sum(g_a * jer, axis=1)
+                 + np.sum(g_j * snp, axis=1))
+        bundle.d_T[i] += float(np.sum(coef * h) + np.sum(wt * h_dot * alpha))
+    return total, bundle

@@ -59,6 +59,10 @@ BAD_VALUES = [
     ("solver", "memory", 10),            # solver.minimize's default, fixed
     ("map", "epsilon", 0.0),
     ("map", "bounds_hi", [0.0, 0.0, 0.0]),
+    ("map", "local_halfwidth", 0.0),
+    ("map", "budget", 0),
+    ("solver", "max_iter", 0),           # after bounds_hi, whose id is its
+    ("solver", "mu_rounds", 0),          # index in this list
     ("seed", None, -1),
 ]
 

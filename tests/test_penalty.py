@@ -8,6 +8,7 @@ import oracles
 from conftest import random_trajectory
 
 from swarmplan import fleet, minco, penalty
+from swarmplan.errors import SingularAttitude
 from swarmplan.geom import Aabb, HalfspacePolytope
 from swarmplan.penalty import (
     ConstantYaw,
@@ -279,6 +280,105 @@ class TestLimitsPenalty:
 
         val = _fd_against_bundle(traj, q, fun, rel=5e-5)
         assert val > 0.0
+
+
+class TestStackedMatchesPerPiece:
+    """Each functional's stacked pass over all pieces equals the per-piece
+    loops bit for bit: the same value, d_coeffs and d_T."""
+
+    NODES = [8, 16, 32]
+    PIECES = [1, 2, 6, 12]
+    MARGINS = [SafetyMargins(5.0, 2.0, 0.5), SafetyMargins(15.0, 4.0, 1.0),
+               SafetyMargins(5.0, 0.0, 0.5)]
+
+    @staticmethod
+    def _assert_same(got, want):
+        (val, bundle), (val_0, bundle_0) = got, want
+        assert val == val_0
+        assert np.array_equal(bundle.d_coeffs, bundle_0.d_coeffs)
+        assert np.array_equal(bundle.d_T, bundle_0.d_T)
+        return val
+
+    @pytest.mark.parametrize("n", NODES)
+    @pytest.mark.parametrize("M", PIECES)
+    def test_corridor(self, M, n):
+        rng = np.random.default_rng(1000 + 100 * M + n)
+        config = PenaltyConfig(n_q=n)
+        for _ in range(3):
+            traj = random_trajectory(rng, n_pieces=M, box=20.0)
+            polys = []
+            for i in range(M):
+                pts = traj.eval_many(
+                    np.linspace(traj.knots[i], traj.knots[i + 1], 12), 0)
+                # An axis box plus up to four oblique faces, each cutting
+                # some of the piece off, so that face counts differ.
+                k = int(rng.integers(0, 5))
+                extra = rng.normal(size=(k, 3))
+                extra /= np.linalg.norm(extra, axis=1)[:, None]
+                normals = np.vstack([np.eye(3), -np.eye(3), extra])
+                reach = np.max(pts @ normals.T, axis=0)
+                polys.append(HalfspacePolytope(
+                    normals, reach - rng.uniform(0.0, 1.5, size=6 + k)))
+            val = self._assert_same(
+                penalty.corridor_penalty(traj, polys, config),
+                oracles.per_piece_corridor_penalty(traj, polys, config))
+            assert val > 0.0
+
+    @pytest.mark.parametrize("n", NODES)
+    @pytest.mark.parametrize("M", PIECES)
+    def test_capsule(self, M, n):
+        rng = np.random.default_rng(2000 + 100 * M + n)
+        config = PenaltyConfig(n_t=n)
+        for margins in self.MARGINS:
+            traj = random_trajectory(rng, n_pieces=M, box=10.0)
+            window = 2.0 * margins.M_d
+            near = random_trajectory(rng, box=10.0, t0=traj.t0 + 1.0)
+            # Parked over every window: one departs after the mission
+            # lands, one lands before it departs.
+            late = random_trajectory(rng, box=10.0,
+                                     t0=traj.t_end + window + 1.0)
+            early = random_trajectory(rng, n_pieces=2, box=10.0, t0=0.0)
+            early = early.shifted(traj.t0 - window - 1.0 - early.t_end
+                                  + early.t0)
+            far = _shifted(random_trajectory(rng, box=10.0, t0=traj.t0),
+                           1e4)
+            assert late.t0 > traj.t_end + window
+            assert early.t_end < traj.t0 - window
+            assert penalty._prunable(traj, far, margins)
+            neighbors = [near, late, far, early]
+            val = self._assert_same(
+                penalty.capsule_penalty(traj, neighbors, margins, config),
+                oracles.per_piece_capsule_penalty(traj, neighbors, margins,
+                                                  config))
+            assert val > 0.0
+
+    @pytest.mark.parametrize("n", NODES)
+    @pytest.mark.parametrize("M", PIECES)
+    def test_limits(self, model, limits, M, n):
+        rng = np.random.default_rng(3000 + 100 * M + n)
+        config = PenaltyConfig(n_q=n)
+        for _ in range(2):
+            traj = random_trajectory(rng, n_pieces=M, box=15.0)
+            for plan in (ConstantYaw(rng.uniform(-3.0, 3.0)), TangentYaw()):
+                val = self._assert_same(
+                    penalty.limits_penalty(traj, model, limits, plan, config),
+                    oracles.per_piece_limits_penalty(traj, model, limits,
+                                                     plan, config))
+                assert val > 0.0
+
+    @pytest.mark.parametrize("M", PIECES)
+    def test_singular_node_raises_on_both(self, pconfig, model, limits, M):
+        # The goal is held at a downward acceleration of 3 g, so the last
+        # node of the last piece has its thrust axis pointing straight down.
+        rng = np.random.default_rng(4000 + M)
+        pts = rng.uniform(-10.0, 10.0, size=(M + 1, 3))
+        end = minco.BoundaryState(pts[-1], np.zeros(3),
+                                  np.array([0.0, 0.0, -30.0]))
+        traj = minco.construct(0.0, rng.uniform(1.0, 4.0, size=M), pts[1:-1],
+                               minco.BoundaryState.hover(pts[0]), end)
+        for fun in (penalty.limits_penalty, oracles.per_piece_limits_penalty):
+            with pytest.raises(SingularAttitude):
+                fun(traj, model, limits, ConstantYaw(), pconfig)
 
 
 class TestYawPlans:

@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Per-evaluation time of the three quadrature penalties.
+
+Run from anywhere; it imports the program from this checkout's src/:
+
+    python3 tools/bench_penalty.py
+
+For M = 2, 6 and 12 pieces it builds one seeded hover-to-hover spline, one
+corridor box per piece drawn in so that nodes violate it, and one neighbour
+flying through the same space at the same time.  It then times
+corridor_penalty, capsule_penalty (SafetyMargins(5, 2, 0.5), as the
+fleetbench workloads) and limits_penalty (default VehicleModel, Limits and
+ConstantYaw), all at the default PenaltyConfig.  Each time is the median
+over ROUNDS rounds of the mean over CALLS calls, in ms, after WARMUP calls.
+It prints one JSON object: ms per evaluation by functional and M, and the
+host's core count.
+"""
+
+import json
+import os
+import statistics
+import sys
+import time
+
+# One thread, as in fleetbench: keep numpy's BLAS to the calling thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from swarmplan import minco, penalty  # noqa: E402
+from swarmplan.dynamics import Limits, VehicleModel  # noqa: E402
+from swarmplan.geom import Aabb, HalfspacePolytope  # noqa: E402
+from swarmplan.penalty import (ConstantYaw, PenaltyConfig,  # noqa: E402
+                               SafetyMargins)
+
+SEED = 1
+PIECES = (2, 6, 12)
+WARMUP = 3
+CALLS = 10
+ROUNDS = 7
+MARGINS = SafetyMargins(M_r=5.0, M_d=2.0, w=0.5)
+
+
+def _spline(rng, M, t0):
+    """Hover-to-hover spline through M + 1 points of a 30 m cube, 3-6 s per
+    piece."""
+    pts = rng.uniform(0.0, 30.0, size=(M + 1, 3))
+    return minco.construct(t0, rng.uniform(3.0, 6.0, size=M), pts[1:-1],
+                           minco.BoundaryState.hover(pts[0]),
+                           minco.BoundaryState.hover(pts[-1]))
+
+
+def _corridor(traj):
+    """Per piece, the box of 12 samples drawn in by a tenth of its extent
+    on every side."""
+    polys = []
+    for i in range(traj.n_pieces):
+        pts = traj.eval_many(np.linspace(traj.knots[i], traj.knots[i + 1], 12))
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        polys.append(HalfspacePolytope.from_aabb(
+            Aabb(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))))
+    return polys
+
+
+def _ms_per_call(fun):
+    for _ in range(WARMUP):
+        fun()
+    rounds = []
+    for _ in range(ROUNDS):
+        t = time.perf_counter()
+        for _ in range(CALLS):
+            fun()
+        rounds.append((time.perf_counter() - t) / CALLS * 1e3)
+    return round(statistics.median(rounds), 3)
+
+
+def main():
+    config = PenaltyConfig()
+    model, limits = VehicleModel(), Limits()
+    out = {"corridor_penalty": {}, "capsule_penalty": {},
+           "limits_penalty": {}}
+    for M in PIECES:
+        rng = np.random.default_rng([SEED, M])
+        traj = _spline(rng, M, 0.0)
+        polys = _corridor(traj)
+        nb = _spline(rng, M, 0.5)
+        calls = {
+            "corridor_penalty": lambda: penalty.corridor_penalty(
+                traj, polys, config),
+            "capsule_penalty": lambda: penalty.capsule_penalty(
+                traj, [nb], MARGINS, config),
+            "limits_penalty": lambda: penalty.limits_penalty(
+                traj, model, limits, ConstantYaw(), config),
+        }
+        for name, fun in calls.items():
+            out[name][str(M)] = _ms_per_call(fun)
+    print(json.dumps({"unit": "ms per evaluation", "seed": SEED,
+                      "cores": os.cpu_count(), "ms": out}))
+
+
+if __name__ == "__main__":
+    main()
