@@ -9,8 +9,7 @@ audited commits and robustness trials (fleet).
 """
 
 from .config import RunConfig, load_config
-from .dynamics import (Limits, StateInput, VehicleModel, flat_batch,
-                       flatness_map, integrate_dynamics)
+from .dynamics import Limits, VehicleModel, flat_batch
 from .errors import (AuditFailure, BlockedEndpoint, CoverageGap,
                      EmptyInterior, EmptyIntersection, NoFreeSpace, NoPath,
                      NotInPolytope, PlanningError, PostCheckFailure,
@@ -28,27 +27,27 @@ from .optimize import (CoordinateChart, SolveOptions, SolveReport,
                        temporal_schedule)
 from .pathfind import (Corridor, Path, corridor_from_path, corridor_search,
                        shortest_path_refine, trapezoidal_allocation)
-from .penalty import (ConstantYaw, PenaltyConfig, SafetyMargins, TangentYaw,
+from .penalty import (PenaltyConfig, SafetyMargins,
                       check_equivalent_criterion, composite, phi)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aabb", "AuditFailure", "BlockedEndpoint", "BoundaryState", "ConstantYaw",
+    "Aabb", "AuditFailure", "BlockedEndpoint", "BoundaryState",
     "CoordinateChart", "Corridor", "CoverageGap", "DisturbanceSpec",
     "EmptyInterior", "EmptyIntersection", "FleetDb", "GradientBundle",
-    "HalfspacePolytope",
-    "Limits", "MincoTrajectory", "Mission", "NoFreeSpace", "NoPath",
-    "NotInPolytope", "ObstacleMap", "Path", "PenaltyConfig", "PlanningError",
-    "PolyMap", "PostCheckFailure", "RunConfig", "SafetyMargins",
-    "ScheduleTimeout", "SingularAttitude", "SingularSystem", "SolveOptions",
-    "SolveReport", "StampedProfile", "StateInput", "TangentYaw", "Unbounded",
-    "VehicleModel", "chart_build", "chart_invert", "chart_objective",
-    "check_equivalent_criterion", "chebyshev_like_center", "composite",
-    "construct", "corridor_from_path", "corridor_search", "flat_batch",
-    "flatness_map", "generate_polytope", "integrate_dynamics",
-    "load_config", "min_pairwise_distance", "plan_mission", "phi",
-    "polyhedronize", "post_check", "robustness_experiment", "segment_inside",
-    "shortest_path_refine", "solve", "stab_all", "stab_query",
-    "temporal_schedule", "trapezoidal_allocation", "vertex_enumeration",
+    "HalfspacePolytope", "Limits", "MincoTrajectory", "Mission",
+    "NoFreeSpace", "NoPath", "NotInPolytope", "ObstacleMap", "Path",
+    "PenaltyConfig", "PlanningError", "PolyMap", "PostCheckFailure",
+    "RunConfig", "SafetyMargins", "ScheduleTimeout", "SingularAttitude",
+    "SingularSystem", "SolveOptions", "SolveReport", "StampedProfile",
+    "Unbounded", "VehicleModel", "chart_build", "chart_invert",
+    "chart_objective", "check_equivalent_criterion",
+    "chebyshev_like_center", "composite", "construct",
+    "corridor_from_path", "corridor_search", "flat_batch",
+    "generate_polytope", "load_config", "min_pairwise_distance",
+    "plan_mission", "phi", "polyhedronize", "post_check",
+    "robustness_experiment", "segment_inside", "shortest_path_refine",
+    "solve", "stab_all", "stab_query", "temporal_schedule",
+    "trapezoidal_allocation", "vertex_enumeration",
 ]

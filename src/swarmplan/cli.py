@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fleet as fleetmod
-from . import geom, io, optimize, penalty
+from . import geom, io, optimize
 from .config import load_config
 from .dynamics import flat_batch
 from .errors import AuditFailure, PlanningError, PostCheckFailure
@@ -238,8 +238,7 @@ def cmd_profile(args) -> int:
     vel = traj.eval_many(ts, 1)
     acc = traj.eval_many(ts, 2)
     jer = traj.eval_many(ts, 3)
-    psi, dpsi, _ = penalty.ConstantYaw().eval(vel, acc)
-    flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=False)
+    flat = flat_batch(model, vel, acc, jer, 0.0, 0.0)
     speed = np.linalg.norm(vel, axis=1)
     tilt = np.degrees(np.arccos(np.clip(flat["z_b"][:, 2], -1.0, 1.0)))
     om = np.linalg.norm(flat["omega"], axis=1)

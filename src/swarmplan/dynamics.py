@@ -7,9 +7,14 @@ to attitude, thrust and body rates under a lumped drag model
     sigma(x) = 1 + C_p x.
 
 Attitude comes from the Hopf fibration: q = q_z (x) q_psi where q_z is the
-tilt-only rotation taking e_3 to z_b.  All gradients are analytic; the batch
-entry point pushes 11 tangent directions (v, a, j, psi, psi_dot) through the
-chain at once.
+tilt-only rotation taking e_3 to z_b.  Gradients are analytic: flat_batch
+pushes 9 tangent directions (v, a, j) through the chain at once.
+
+Planning holds the heading fixed, so yaw carries no tangent direction.  A
+fixed heading constrains nothing: thrust, z_b and drag do not depend on psi,
+and at psi_dot = 0 the body rates are those at psi = 0 turned by -psi about
+the body z axis, so every limit residual equals its value at psi = 0 (the
+rate row up to rounding).
 """
 
 from dataclasses import dataclass, field
@@ -89,36 +94,6 @@ class Limits:
                       f_min=self.f_m - f_r, f_max=self.f_m + f_r)
 
 
-@dataclass
-class FlatPoint:
-    r: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    j: np.ndarray
-    psi: float = 0.0
-    dpsi: float = 0.0
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float).reshape(3)
-        self.v = np.asarray(self.v, dtype=float).reshape(3)
-        self.a = np.asarray(self.a, dtype=float).reshape(3)
-        self.j = np.asarray(self.j, dtype=float).reshape(3)
-        for arr in (self.r, self.v, self.a, self.j):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("flat outputs must be finite")
-
-
-@dataclass
-class StateInput:
-    r: np.ndarray
-    v: np.ndarray
-    R: np.ndarray
-    f: float
-    omega: np.ndarray
-    z_b: np.ndarray
-    drag: np.ndarray
-
-
 def _qmul(a, b):
     """Hamilton product on (..., 4) arrays, scalar part first."""
     w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
@@ -137,44 +112,24 @@ def _qconj(q):
     return out
 
 
-def _qrot(q):
-    """Rotation matrices from unit quaternions, shape (..., 3, 3)."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1 - 2 * (y * y + z * z)
-    R[..., 0, 1] = 2 * (x * y - w * z)
-    R[..., 0, 2] = 2 * (x * z + w * y)
-    R[..., 1, 0] = 2 * (x * y + w * z)
-    R[..., 1, 1] = 1 - 2 * (x * x + z * z)
-    R[..., 1, 2] = 2 * (y * z - w * x)
-    R[..., 2, 0] = 2 * (x * z - w * y)
-    R[..., 2, 1] = 2 * (y * z + w * x)
-    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
-
-
-# Tangent directions pushed through the batch chain: v, a, j basis vectors
-# then psi and psi_dot.
-_N_DIRS = 11
+# Tangent directions pushed through the batch chain: v, a, j basis vectors.
+_N_DIRS = 9
 _DV = np.zeros((_N_DIRS, 3))
 _DV[0:3] = np.eye(3)
 _DA = np.zeros((_N_DIRS, 3))
 _DA[3:6] = np.eye(3)
 _DJ = np.zeros((_N_DIRS, 3))
 _DJ[6:9] = np.eye(3)
-_DPSI = np.zeros(_N_DIRS)
-_DPSI[9] = 1.0
-_DDPSI = np.zeros(_N_DIRS)
-_DDPSI[10] = 1.0
 
 
 def flat_batch(model, v, a, j, psi, dpsi, grad=False):
     """Evaluate the flatness chain on n points at once.
 
-    Returns a dict with primal fields (f, omega, z_b, R, drag, speed_sq) and,
-    when grad is set, Jacobians f_v, f_a (n,3); zb_v, zb_a, om_v, om_a, om_j
-    (n,3,3); om_psi, om_dpsi (n,3).  Raises SingularAttitude if any point
-    sits at the free-fall or inverted-attitude singularity.
+    Returns a dict with primal fields (f, omega, z_b, q, drag, speed_sq)
+    and, when grad is set, Jacobians f_v, f_a (n,3) and zb_v, zb_a, om_v,
+    om_a, om_j (n,3,3) with respect to v, a and j at the given heading.
+    Raises SingularAttitude if any point sits at the free-fall or
+    inverted-attitude singularity.
     """
     v = np.asarray(v, dtype=float).reshape(-1, 3)
     a = np.asarray(a, dtype=float).reshape(-1, 3)
@@ -230,9 +185,7 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
         "z_b": zb,
         "q": q,
         "speed_sq": speed * speed,
-        "zeta_norm": nrm,
     }
-    out["R"] = _qrot(q)
     drag_coef = sig[:, None] * v
     out["drag"] = (model.d_h * drag_coef
                    + (model.d_v - model.d_h)
@@ -240,7 +193,7 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
     if not grad:
         return out
 
-    # Forward-mode sweep over the 11 canonical directions.  Shapes: primal
+    # Forward-mode sweep over the 9 canonical directions.  Shapes: primal
     # quantities broadcast as (n, 1, .) against direction stacks (1, D, .).
     vD = v[:, None, :]
     aD = a[:, None, :]
@@ -254,8 +207,6 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
     dv = _DV[None, :, :]
     da = _DA[None, :, :]
     dj = _DJ[None, :, :]
-    dpsi_dir = _DPSI[None, :]
-    ddpsi_dir = _DDPSI[None, :]
 
     d_sig = model.C_p * np.sum(vD * dv, axis=2) / s_etaD
     d_zeta = da + khm * (d_sig[:, :, None] * vD + sigD[:, :, None] * dv)
@@ -307,26 +258,9 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
         np.zeros((n, _N_DIRS)),
     ], axis=2)
 
-    sin_h = np.sin(half)[:, None]
-    cos_h = np.cos(half)[:, None]
-    zero = np.zeros((n, _N_DIRS))
-    d_qpsi = 0.5 * dpsi_dir[:, :, None] * np.stack(
-        [-sin_h * np.ones_like(zero), zero, zero,
-         cos_h * np.ones_like(zero)], axis=2)
-    d_qpsi_dot = (0.5 * ddpsi_dir[:, :, None] * np.stack(
-        [-sin_h * np.ones_like(zero), zero, zero,
-         cos_h * np.ones_like(zero)], axis=2)
-        + 0.25 * dpsi[:, None, None] * dpsi_dir[:, :, None] * np.stack(
-        [-cos_h * np.ones_like(zero), zero, zero,
-         -sin_h * np.ones_like(zero)], axis=2))
-
-    qzD = qz[:, None, :]
     qpsiD = qpsi[:, None, :]
-    qz_dotD = qz_dot[:, None, :]
-    qpsi_dotD = qpsi_dot[:, None, :]
-    d_q = _qmul(d_qz, qpsiD) + _qmul(qzD, d_qpsi)
-    d_q_dot = (_qmul(d_qz_dot, qpsiD) + _qmul(qz_dotD, d_qpsi)
-               + _qmul(d_qz, qpsi_dotD) + _qmul(qzD, d_qpsi_dot))
+    d_q = _qmul(d_qz, qpsiD)
+    d_q_dot = _qmul(d_qz_dot, qpsiD) + _qmul(d_qz, qpsi_dot[:, None, :])
     qD = q[:, None, :]
     q_dotD = q_dot[:, None, :]
     d_omega = 2.0 * (_qmul(_qconj(d_q), q_dotD)
@@ -339,57 +273,7 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
     out["om_v"] = np.swapaxes(d_omega[:, 0:3, :], 1, 2)
     out["om_a"] = np.swapaxes(d_omega[:, 3:6, :], 1, 2)
     out["om_j"] = np.swapaxes(d_omega[:, 6:9, :], 1, 2)
-    out["om_psi"] = d_omega[:, 9, :]
-    out["om_dpsi"] = d_omega[:, 10, :]
     return out
-
-
-def flatness_map(model, p):
-    """StateInput at a single flat point."""
-    out = flat_batch(model, p.v, p.a, p.j, p.psi, p.dpsi)
-    return StateInput(r=p.r.copy(), v=p.v.copy(), R=out["R"][0],
-                      f=float(out["f"][0]), omega=out["omega"][0],
-                      z_b=out["z_b"][0], drag=out["drag"][0])
-
-
-@dataclass
-class FlatnessJacobian:
-    f_v: np.ndarray
-    f_a: np.ndarray
-    zb_v: np.ndarray
-    zb_a: np.ndarray
-    om_v: np.ndarray
-    om_a: np.ndarray
-    om_j: np.ndarray
-    om_psi: np.ndarray
-    om_dpsi: np.ndarray
-    speed_sq_v: np.ndarray
-
-
-def flatness_gradient(model, p):
-    """Analytic Jacobians of (f, omega, z_b, speed^2) at a single flat point.
-
-    Rows are outputs, columns inputs; absolute position never enters.
-    """
-    out = flat_batch(model, p.v, p.a, p.j, p.psi, p.dpsi, grad=True)
-    return FlatnessJacobian(
-        f_v=out["f_v"][0], f_a=out["f_a"][0],
-        zb_v=out["zb_v"][0], zb_a=out["zb_a"][0],
-        om_v=out["om_v"][0], om_a=out["om_a"][0], om_j=out["om_j"][0],
-        om_psi=out["om_psi"][0], om_dpsi=out["om_dpsi"][0],
-        speed_sq_v=2.0 * p.v.copy(),
-    )
-
-
-def limits_residual(model, limits, s):
-    """Constraint vector G; all entries <= 0 iff the limits hold."""
-    tilt = np.cos(limits.theta_max) - s.z_b[2]
-    return np.array([
-        float(s.v @ s.v) - limits.v_max ** 2,
-        float(s.omega @ s.omega) - limits.omega_max ** 2,
-        tilt,
-        (s.f - limits.f_m) ** 2 - limits.f_r ** 2,
-    ])
 
 
 def limits_residual_batch(limits, flat):
@@ -401,68 +285,3 @@ def limits_residual_batch(limits, flat):
         np.cos(limits.theta_max) - flat["z_b"][:, 2],
         (flat["f"] - limits.f_m) ** 2 - limits.f_r ** 2,
     ], axis=1)
-
-
-def integrate_dynamics(model, r0, v0, R0, times, thrusts, omegas):
-    """RK4 rollout of the rigid-body translation with lumped drag.
-
-    times must be uniformly spaced (dt <= 1e-3 recommended); thrust and body
-    rates are zero-order-held between samples.  R is re-orthonormalized each
-    step.  Verification oracle only; planning never integrates.
-    """
-    times = np.asarray(times, dtype=float)
-    dt = times[1] - times[0]
-    D = np.diag([model.d_h, model.d_h, model.d_v])
-    g_vec = np.array([0.0, 0.0, -model.g])
-
-    def accel(v, R, f):
-        speed = np.linalg.norm(v)
-        drag = R @ D @ R.T @ v * model.sigma(speed)
-        return g_vec + (R @ np.array([0.0, 0.0, f]) - drag) / model.m
-
-    r = np.asarray(r0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    R = np.asarray(R0, dtype=float).copy()
-    trace_r = [r.copy()]
-    trace_v = [v.copy()]
-    trace_R = [R.copy()]
-    for k in range(len(times) - 1):
-        f = thrusts[k]
-        om = omegas[k]
-        # translational RK4 with attitude frozen at the step's midpoint rotation
-        Om = np.array([[0.0, -om[2], om[1]],
-                       [om[2], 0.0, -om[0]],
-                       [-om[1], om[0], 0.0]])
-        R_mid = R @ _expm_so3(Om * (0.5 * dt))
-        R_end = R @ _expm_so3(Om * dt)
-
-        k1v = accel(v, R, f)
-        k1r = v
-        k2v = accel(v + 0.5 * dt * k1v, R_mid, f)
-        k2r = v + 0.5 * dt * k1v
-        k3v = accel(v + 0.5 * dt * k2v, R_mid, f)
-        k3r = v + 0.5 * dt * k2v
-        k4v = accel(v + dt * k3v, R_end, f)
-        k4r = v + dt * k3v
-        r = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        R = _orthonormalize(R_end)
-        trace_r.append(r.copy())
-        trace_v.append(v.copy())
-        trace_R.append(R.copy())
-    return np.array(trace_r), np.array(trace_v), np.array(trace_R)
-
-
-def _expm_so3(Om):
-    """Closed-form exponential of a skew matrix."""
-    w = np.array([Om[2, 1], Om[0, 2], Om[1, 0]])
-    th = np.linalg.norm(w)
-    if th < 1e-12:
-        return np.eye(3) + Om
-    A = Om / th
-    return np.eye(3) + np.sin(th) * A + (1.0 - np.cos(th)) * (A @ A)
-
-
-def _orthonormalize(R):
-    u, _, vt = np.linalg.svd(R)
-    return u @ vt

@@ -142,12 +142,12 @@ class MincoTrajectory:
         return MincoTrajectory(new_t0, self.T, self.coeffs, self.boundary)
 
 
-def _assemble(durations, waypoints, start, end):
-    """Rows, cols, vals triplets plus the RHS of the defining system."""
+def _system_matrix(durations):
+    """Rows, cols, vals triplets of the defining system; only the durations
+    enter it."""
     T = durations
     M = len(T)
     rows, cols, vals = [], [], []
-    rhs = np.zeros((6 * M, 3))
 
     def put(r, c0, vec):
         for j, v in enumerate(vec):
@@ -158,30 +158,35 @@ def _assemble(durations, waypoints, start, end):
 
     for k in range(3):
         put(k, 0, basis(0.0, k))
-    rhs[0] = start.pos
-    rhs[1] = start.vel
-    rhs[2] = start.acc
     for i in range(M - 1):
         r0 = 3 + 6 * i
         c_i = 6 * i
         c_n = 6 * (i + 1)
         put(r0, c_i, basis(T[i], 0))
-        rhs[r0] = waypoints[i]
         for k in range(1, 5):
             bi = basis(T[i], k)
             bn = -basis(0.0, k)
             put(r0 + k, c_i, bi)
             put(r0 + k, c_n, bn)
         put(r0 + 5, c_n, basis(0.0, 0))
-        rhs[r0 + 5] = waypoints[i]
     r_end = 6 * M - 3
     c_m = 6 * (M - 1)
     for k in range(3):
         put(r_end + k, c_m, basis(T[-1], k))
-    rhs[r_end] = end.pos
-    rhs[r_end + 1] = end.vel
-    rhs[r_end + 2] = end.acc
-    return (np.array(rows), np.array(cols), np.array(vals)), rhs
+    return np.array(rows), np.array(cols), np.array(vals)
+
+
+def _rhs(waypoints, start, end):
+    """Right-hand side of the defining system: boundary states and each
+    interior waypoint twice, at the end of one piece and the start of the
+    next."""
+    M = len(waypoints) + 1
+    rhs = np.zeros((6 * M, 3))
+    rhs[0:3] = (start.pos, start.vel, start.acc)
+    rhs[3:6 * M - 3:6] = waypoints
+    rhs[8:6 * M - 3:6] = waypoints
+    rhs[6 * M - 3:] = (end.pos, end.vel, end.acc)
+    return rhs
 
 
 def _banded(rows, cols, vals, n, transpose=False):
@@ -203,10 +208,10 @@ def construct(t0, durations, waypoints, start, end):
     waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
     if waypoints.shape[0] != M - 1:
         raise ValueError("expected M-1 interior waypoints")
-    (rows, cols, vals), rhs = _assemble(T, waypoints, start, end)
-    ab = _banded(rows, cols, vals, 6 * M)
+    ab = _banded(*_system_matrix(T), 6 * M)
     try:
-        sol = solve_banded((_BAND_L, _BAND_U), ab, rhs)
+        sol = solve_banded((_BAND_L, _BAND_U), ab,
+                           _rhs(waypoints, start, end))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
@@ -215,19 +220,17 @@ def construct(t0, durations, waypoints, start, end):
     return MincoTrajectory(t0, T, coeffs, (start, end))
 
 
-def propagate_gradient(traj, bundle, waypoints=None):
+def propagate_gradient(traj, bundle):
     """Pull (dK/dcoeffs, dK/dT) back to (dK/dwaypoints, dK/dT).
 
     Solves the transposed banded system for the adjoint, then accounts for
     the duration dependence of every row evaluated at a piece's end time.
+    Waypoints and boundary states fill only the right-hand side, which the
+    adjoint does not need.
     """
     T = traj.T
     M = traj.n_pieces
-    if waypoints is None:
-        waypoints = traj.waypoints()
-    start, end = traj.boundary
-    (rows, cols, vals), _ = _assemble(T, waypoints, start, end)
-    abT = _banded(rows, cols, vals, 6 * M, transpose=True)
+    abT = _banded(*_system_matrix(T), 6 * M, transpose=True)
     rhs = bundle.d_coeffs.reshape(6 * M, 3)
     lam = solve_banded((_BAND_U, _BAND_L), abT, rhs)
     if not np.all(np.isfinite(lam)):

@@ -250,7 +250,7 @@ class SolveReport:
 
 def chart_objective(chart: CoordinateChart, t0: float, boundary, x, *,
                     pconfig, model=None, limits=None, margins=None,
-                    corridor_polys=None, neighbors=(), yaw_plan=None):
+                    corridor_polys=None, neighbors=()):
     """Composite objective and gradient at stacked coordinates [xi, tau].
 
     Degenerate points (vanishing chart block, tau outside its bound, or a
@@ -270,12 +270,12 @@ def chart_objective(chart: CoordinateChart, t0: float, boundary, x, *,
     traj = minco.construct(t0, T, q, boundary[0], boundary[1])
     try:
         total, bundle, parts = penalty.composite(
-            traj, pconfig, model=model, limits=limits, yaw_plan=yaw_plan,
+            traj, pconfig, model=model, limits=limits,
             corridor=corridor_polys, neighbors=list(neighbors),
             margins=margins)
     except SingularAttitude:
         return np.inf, np.zeros_like(x)
-    d_q, d_T = minco.propagate_gradient(traj, bundle, waypoints=q)
+    d_q, d_T = minco.propagate_gradient(traj, bundle)
     g = np.empty_like(x)
     g[:n_xi] = chart.pullback(xis, q, d_q)
     g[n_xi:] = d_T * T
@@ -284,7 +284,7 @@ def chart_objective(chart: CoordinateChart, t0: float, boundary, x, *,
 
 def solve(chart: CoordinateChart, t0: float, boundary, xi0, tau0, *,
           pconfig, model=None, limits=None, margins=None,
-          corridor_polys=None, neighbors=(), yaw_plan=None,
+          corridor_polys=None, neighbors=(),
           options: SolveOptions | None = None) -> SolveReport:
     """Minimize the composite penalized objective over (xi, tau).
 
@@ -304,7 +304,7 @@ def solve(chart: CoordinateChart, t0: float, boundary, xi0, tau0, *,
                                    model=model, limits=limits,
                                    margins=margins,
                                    corridor_polys=corridor_polys,
-                                   neighbors=neighbors, yaw_plan=yaw_plan)
+                                   neighbors=neighbors)
         return fg
 
     cfg = pconfig
@@ -322,7 +322,7 @@ def solve(chart: CoordinateChart, t0: float, boundary, xi0, tau0, *,
     q = chart.map_points(xis)
     traj = minco.construct(t0, T, q, boundary[0], boundary[1])
     total, _, parts = penalty.composite(
-        traj, cfg, model=model, limits=limits, yaw_plan=yaw_plan,
+        traj, cfg, model=model, limits=limits,
         corridor=corridor_polys, neighbors=neighbors, margins=margins)
     return SolveReport(traj=traj, objective=float(total), parts=parts,
                        grad_inf=res.grad_inf, iterations=res.iterations,
@@ -561,8 +561,8 @@ class MissionReport:
     attempts: list   # plan_mission's 1 or 2 attempt records, the last passed
 
 
-def post_check(traj, corridor_polys, neighbors, margins, model, limits,
-               yaw_plan=None) -> dict:
+def post_check(traj, corridor_polys, neighbors, margins, model,
+               limits) -> dict:
     """Dense-grid audit of corridor containment, capsules, and limits.
 
     Its capsule audit is the commit's, fleet.audit_margin against each
@@ -585,10 +585,8 @@ def post_check(traj, corridor_polys, neighbors, margins, model, limits,
     vel = traj.eval_many(ts, 1)
     acc = traj.eval_many(ts, 2)
     jer = traj.eval_many(ts, 3)
-    plan = yaw_plan or penalty.ConstantYaw()
-    psi, dpsi, _ = plan.eval(vel, acc)
     try:
-        flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=False)
+        flat = flat_batch(model, vel, acc, jer, 0.0, 0.0)
     except SingularAttitude as exc:
         raise PostCheckFailure(f"flatness map degenerates on the dense "
                                f"grid: {exc}") from exc
@@ -629,8 +627,7 @@ def _check_endpoints(p_o, p_f, neighbors, margins):
 
 
 def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
-                 pconfig, rng, options: SolveOptions | None = None,
-                 yaw_plan=None):
+                 pconfig, rng, options: SolveOptions | None = None):
     """Full single-mission pipeline against a set of committed neighbors.
 
     Search, corridor, refined waypoints, trapezoidal durations, spatial
@@ -671,8 +668,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                           + max(PEN_M_R_PAD, PEN_M_R_SHARE * margins.M_r))
     sched_margins = replace(pen_margins, M_r=pen_margins.M_r + SCHED_CLEARANCE)
     options = options or SolveOptions()
-    pen = dict(model=model, limits=pen_limits, corridor_polys=pen_polys,
-               yaw_plan=yaw_plan)
+    pen = dict(model=model, limits=pen_limits, corridor_polys=pen_polys)
 
     rep = solve(chart, mission.t_o, boundary, xi0, tau0, pconfig=pconfig,
                 margins=pen_margins, neighbors=(), options=options, **pen)
@@ -719,7 +715,7 @@ def plan_mission(polymap, mission, neighbors, *, model, limits, margins,
                             np.log(T1), pconfig=pconfig, margins=pen_margins,
                             neighbors=neighbors, options=options, **pen)
             post = post_check(rep.traj, corridor_polys, neighbors, margins,
-                              model, limits, yaw_plan)
+                              model, limits)
         except ScheduleTimeout as exc:
             record.update(exc.counts)
             record["outcome"] = type(exc).__name__

@@ -8,7 +8,8 @@ phi_mu clamps constraint violations through a C^2 cubic blend:
 
 I0 penalizes control effort plus total time, I1 corridor violations, I2
 space-time capsule violations against committed neighbors, I3 physical
-limits through the flatness map.  Every functional returns its value and
+limits through the flatness map at the fixed heading psi = 0, which
+constrains nothing (see dynamics).  Every functional returns its value and
 exact gradients with respect to piece coefficients and durations; node
 positions scale with the piece duration, so durations enter both the
 quadrature weights and the node times.
@@ -274,14 +275,13 @@ def capsule_penalty(traj, neighbors, margins, config):
     return total, bundle
 
 
-def limits_penalty(traj, model, limits, yaw_plan, config):
+def limits_penalty(traj, model, limits, config):
     """I3: physical limits through the flatness map at quadrature nodes."""
     M = traj.n_pieces
     n = config.n_q
     nodes = _stacked_nodes(traj, n, (1, 2, 3, 4))
     vel, acc, jer, snp = (nodes.deriv[k].reshape(-1, 3) for k in (1, 2, 3, 4))
-    psi, dpsi, pgrad = yaw_plan.eval(vel, acc)
-    flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=True)
+    flat = flat_batch(model, vel, acc, jer, 0.0, 0.0, grad=True)
     G = limits_residual_batch(limits, flat)
     val, der = phi_arr(config.mu, G)
     h = np.sum(val, axis=1)
@@ -296,11 +296,6 @@ def limits_penalty(traj, model, limits, yaw_plan, config):
            - der[:, 2:3] * flat["zb_a"][:, 2, :]
            + f_w * flat["f_a"])
     g_j = np.einsum("nx,nxj->nj", om_w, flat["om_j"])
-    if pgrad is not None:
-        h_psi = np.sum(om_w * flat["om_psi"], axis=1)
-        h_dpsi = np.sum(om_w * flat["om_dpsi"], axis=1)
-        g_v += h_psi[:, None] * pgrad["psi_v"] + h_dpsi[:, None] * pgrad["dpsi_v"]
-        g_a += h_psi[:, None] * pgrad["psi_a"] + h_dpsi[:, None] * pgrad["dpsi_a"]
 
     h_dot = (np.sum(g_v * acc, axis=1) + np.sum(g_a * jer, axis=1)
              + np.sum(g_j * snp, axis=1))
@@ -311,44 +306,8 @@ def limits_penalty(traj, model, limits, yaw_plan, config):
     return total, bundle
 
 
-class ConstantYaw:
-    """Fixed heading; the default plan."""
-
-    def __init__(self, psi0=0.0):
-        self.psi0 = float(psi0)
-
-    def eval(self, vel, acc):
-        n = len(vel)
-        return np.full(n, self.psi0), np.zeros(n), None
-
-
-class TangentYaw:
-    """Heading follows the horizontal velocity; regularized near hover."""
-
-    def __init__(self, eps=1e-6):
-        self.eps = float(eps)
-
-    def eval(self, vel, acc):
-        vx, vy = vel[:, 0], vel[:, 1]
-        ax, ay = acc[:, 0], acc[:, 1]
-        h = vx * vx + vy * vy + self.eps
-        psi = np.arctan2(vy, vx)
-        dpsi = (vx * ay - vy * ax) / h
-        z = np.zeros_like(vx)
-        psi_v = np.stack([-vy / h, vx / h, z], axis=1)
-        dpsi_v = np.stack([
-            (ay - 2.0 * vx * dpsi) / h,
-            (-ax - 2.0 * vy * dpsi) / h,
-            z,
-        ], axis=1)
-        dpsi_a = np.stack([-vy / h, vx / h, z], axis=1)
-        grads = {"psi_v": psi_v, "psi_a": np.zeros_like(psi_v),
-                 "dpsi_v": dpsi_v, "dpsi_a": dpsi_a}
-        return psi, dpsi, grads
-
-
-def composite(traj, config, model=None, limits=None, yaw_plan=None,
-              corridor=None, neighbors=None, margins=None):
+def composite(traj, config, model=None, limits=None, corridor=None,
+              neighbors=None, margins=None):
     """Weighted sum of the active functionals with a merged gradient."""
     total, bundle = objective(traj, config)
     parts = {"I0": total}
@@ -363,8 +322,7 @@ def composite(traj, config, model=None, limits=None, yaw_plan=None,
         total += config.w2 * v
         bundle += b.scaled(config.w2)
     if model is not None and config.w3 > 0.0:
-        v, b = limits_penalty(traj, model, limits,
-                              yaw_plan or ConstantYaw(), config)
+        v, b = limits_penalty(traj, model, limits, config)
         parts["I3"] = v
         total += config.w3 * v
         bundle += b.scaled(config.w3)

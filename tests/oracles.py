@@ -331,6 +331,20 @@ def rollout_rk4(m, g, d_h, d_v, c_p, r0, v0, R0, times, thrusts, omegas):
 
 
 # ---------------------------------------------------------------------------
+# limit residuals at one state
+
+def limits_residual(limits, v, omega, z_b, f):
+    """Constraint vector G at one state; all entries <= 0 iff the speed,
+    body-rate, tilt and thrust limits hold."""
+    return np.array([
+        float(v @ v) - limits.v_max ** 2,
+        float(omega @ omega) - limits.omega_max ** 2,
+        np.cos(limits.theta_max) - z_b[2],
+        (f - limits.f_m) ** 2 - limits.f_r ** 2,
+    ])
+
+
+# ---------------------------------------------------------------------------
 # per-piece quadrature functionals: one piece at a time, as the package
 # computed them before its stacked pass
 
@@ -426,8 +440,9 @@ def per_piece_capsule_penalty(traj, neighbors, margins, config):
     return total, bundle
 
 
-def per_piece_limits_penalty(traj, model, limits, yaw_plan, config):
-    """I3: physical limits through the flatness map at quadrature nodes."""
+def per_piece_limits_penalty(traj, model, limits, config):
+    """I3: physical limits through the flatness map at quadrature nodes,
+    heading 0."""
     M = traj.n_pieces
     alpha, coef = _piece_nodes(config.n_q)
     total = 0.0
@@ -442,8 +457,7 @@ def per_piece_limits_penalty(traj, model, limits, yaw_plan, config):
         acc = B[2] @ ci
         jer = B[3] @ ci
         snp = B[4] @ ci
-        psi, dpsi, pgrad = yaw_plan.eval(vel, acc)
-        flat = flat_batch(model, vel, acc, jer, psi, dpsi, grad=True)
+        flat = flat_batch(model, vel, acc, jer, 0.0, 0.0, grad=True)
         G = limits_residual_batch(limits, flat)
         val, der = phi_arr(config.mu, G)
         h = np.sum(val, axis=1)
@@ -461,11 +475,6 @@ def per_piece_limits_penalty(traj, model, limits, yaw_plan, config):
                + (2.0 * der[:, 3] * (flat["f"] - limits.f_m))[:, None]
                * flat["f_a"])
         g_j = np.einsum("nx,nxj->nj", om_w, flat["om_j"])
-        if pgrad is not None:
-            h_psi = np.sum(om_w * flat["om_psi"], axis=1)
-            h_dpsi = np.sum(om_w * flat["om_dpsi"], axis=1)
-            g_v += h_psi[:, None] * pgrad["psi_v"] + h_dpsi[:, None] * pgrad["dpsi_v"]
-            g_a += h_psi[:, None] * pgrad["psi_a"] + h_dpsi[:, None] * pgrad["dpsi_a"]
 
         bundle.d_coeffs[i] += (B[1].T @ (wt[:, None] * g_v)
                                + B[2].T @ (wt[:, None] * g_a)

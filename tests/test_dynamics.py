@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmplan import dynamics
-from swarmplan.dynamics import (FlatPoint, Limits, VehicleModel, flat_batch,
-                                flatness_gradient, flatness_map,
-                                integrate_dynamics, limits_residual,
+from swarmplan.dynamics import (Limits, VehicleModel, flat_batch,
                                 limits_residual_batch)
 from swarmplan.errors import SingularAttitude
 
@@ -12,67 +9,73 @@ import oracles
 
 
 def analytic_state(t):
-    """Smooth figure trajectory with analytic derivatives and yaw."""
-    r = np.array([3 * np.sin(0.7 * t), 2 * np.cos(0.9 * t),
-                  10 + 0.8 * np.sin(0.5 * t)])
-    v = np.array([2.1 * np.cos(0.7 * t), -1.8 * np.sin(0.9 * t),
-                  0.4 * np.cos(0.5 * t)])
-    a = np.array([-1.47 * np.sin(0.7 * t), -1.62 * np.cos(0.9 * t),
-                  -0.2 * np.sin(0.5 * t)])
-    j = np.array([-1.029 * np.cos(0.7 * t), 1.458 * np.sin(0.9 * t),
-                  -0.1 * np.cos(0.5 * t)])
-    psi = 0.4 * np.sin(0.6 * t)
-    dpsi = 0.24 * np.cos(0.6 * t)
-    return FlatPoint(r=r, v=v, a=a, j=j, psi=psi, dpsi=dpsi)
+    """Smooth figure trajectory with analytic derivatives and yaw: r, v, a,
+    j, psi, dpsi, each with a leading axis over the times t."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+    r = np.hstack([3 * np.sin(0.7 * t), 2 * np.cos(0.9 * t),
+                   10 + 0.8 * np.sin(0.5 * t)])
+    v = np.hstack([2.1 * np.cos(0.7 * t), -1.8 * np.sin(0.9 * t),
+                   0.4 * np.cos(0.5 * t)])
+    a = np.hstack([-1.47 * np.sin(0.7 * t), -1.62 * np.cos(0.9 * t),
+                   -0.2 * np.sin(0.5 * t)])
+    j = np.hstack([-1.029 * np.cos(0.7 * t), 1.458 * np.sin(0.9 * t),
+                   -0.1 * np.cos(0.5 * t)])
+    psi = 0.4 * np.sin(0.6 * t[:, 0])
+    dpsi = 0.24 * np.cos(0.6 * t[:, 0])
+    return r, v, a, j, psi, dpsi
+
+
+def attitudes(flat):
+    """Rotation matrices of a flat_batch result, from its quaternions."""
+    return np.array([oracles._quat_to_matrix(q) for q in flat["q"]])
+
+
+def analytic_flat(model, t):
+    _, v, a, j, psi, dpsi = analytic_state(t)
+    return flat_batch(model, v, a, j, psi, dpsi)
 
 
 class TestFlatnessMap:
     def test_hover_state(self, model):
-        s = flatness_map(model, FlatPoint(r=[0, 0, 5], v=np.zeros(3),
-                                          a=np.zeros(3), j=np.zeros(3)))
-        assert s.f == pytest.approx(model.m * model.g, rel=1e-12)
-        assert np.allclose(s.R, np.eye(3), atol=1e-12)
-        assert np.allclose(s.omega, 0.0, atol=1e-12)
+        s = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 0.0)
+        assert s["f"][0] == pytest.approx(model.m * model.g, rel=1e-12)
+        assert np.allclose(attitudes(s)[0], np.eye(3), atol=1e-12)
+        assert np.allclose(s["omega"], 0.0, atol=1e-12)
 
     def test_drag_free_closed_form(self):
         clean = VehicleModel(d_h=0.0, d_v=0.0, C_p=0.0)
         rng = np.random.default_rng(0)
-        for _ in range(30):
-            p = FlatPoint(r=np.zeros(3), v=rng.uniform(-5, 5, 3),
-                          a=rng.uniform(-3, 3, 3), j=rng.uniform(-2, 2, 3))
-            s = flatness_map(clean, p)
-            lift = p.a + np.array([0.0, 0.0, clean.g])
-            assert s.f == pytest.approx(clean.m * np.linalg.norm(lift),
-                                        abs=1e-12)
-            assert np.allclose(s.z_b, lift / np.linalg.norm(lift),
-                               atol=1e-12)
-            assert np.allclose(s.drag, 0.0, atol=1e-15)
+        a = rng.uniform(-3, 3, (30, 3))
+        s = flat_batch(clean, rng.uniform(-5, 5, (30, 3)), a,
+                       rng.uniform(-2, 2, (30, 3)), 0.0, 0.0)
+        lift = a + np.array([0.0, 0.0, clean.g])
+        nrm = np.linalg.norm(lift, axis=1)
+        assert np.allclose(s["f"], clean.m * nrm, rtol=0.0, atol=1e-12)
+        assert np.allclose(s["z_b"], lift / nrm[:, None], atol=1e-12)
+        assert np.allclose(s["drag"], 0.0, atol=1e-15)
 
     def test_attitude_third_column_is_thrust_axis(self, model):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = FlatPoint(r=np.zeros(3), v=rng.uniform(-6, 6, 3),
-                          a=rng.uniform(-3, 3, 3), j=rng.uniform(-2, 2, 3),
-                          psi=rng.uniform(-1, 1), dpsi=rng.uniform(-1, 1))
-            s = flatness_map(model, p)
-            assert np.allclose(s.R[:, 2], s.z_b, atol=1e-12)
-            assert np.allclose(s.R @ s.R.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(s.R) == pytest.approx(1.0, abs=1e-12)
+        s = flat_batch(model, rng.uniform(-6, 6, (20, 3)),
+                       rng.uniform(-3, 3, (20, 3)), rng.uniform(-2, 2, (20, 3)),
+                       rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20))
+        for R, zb in zip(attitudes(s), s["z_b"]):
+            assert np.allclose(R[:, 2], zb, atol=1e-12)
+            assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
+            assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
     def test_yaw_factorization(self, model):
         # at rest the attitude is a pure yaw; tilted, peeling the yaw off
         # must leave a rotation about a horizontal axis (symmetric xy block)
         for psi in (-1.2, -0.3, 0.0, 0.7, 2.1):
-            rest = flatness_map(model, FlatPoint(
-                r=np.zeros(3), v=np.zeros(3), a=np.zeros(3), j=np.zeros(3),
-                psi=psi))
+            rest = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3),
+                              psi, 0.0)
             c, s_ = np.cos(psi), np.sin(psi)
             Rz = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
-            assert np.allclose(rest.R, Rz, atol=1e-12)
-            tilted = flatness_map(model, FlatPoint(
-                r=np.zeros(3), v=[1.0, 0.5, 0.1], a=[0.4, -0.2, 0.1],
-                j=np.zeros(3), psi=psi))
-            tilt = tilted.R @ Rz.T
+            assert np.allclose(attitudes(rest)[0], Rz, atol=1e-12)
+            tilted = flat_batch(model, [1.0, 0.5, 0.1], [0.4, -0.2, 0.1],
+                                np.zeros(3), psi, 0.0)
+            tilt = attitudes(tilted)[0] @ Rz.T
             assert tilt[0, 1] == pytest.approx(tilt[1, 0], abs=1e-9)
 
     def test_free_fall_is_singular(self, model):
@@ -82,13 +85,15 @@ class TestFlatnessMap:
 
     def test_rates_match_attitude_derivative(self, model):
         h = 1e-5
-        for t in np.linspace(0.3, 4.7, 9):
-            s = flatness_map(model, analytic_state(t))
-            Rp = flatness_map(model, analytic_state(t + h)).R
-            Rm = flatness_map(model, analytic_state(t - h)).R
-            Om = s.R.T @ (Rp - Rm) / (2 * h)
+        ts = np.linspace(0.3, 4.7, 9)
+        s = analytic_flat(model, ts)
+        Rs = attitudes(s)
+        Rp = attitudes(analytic_flat(model, ts + h))
+        Rm = attitudes(analytic_flat(model, ts - h))
+        for k in range(len(ts)):
+            Om = Rs[k].T @ (Rp[k] - Rm[k]) / (2 * h)
             om_fd = np.array([Om[2, 1], Om[0, 2], Om[1, 0]])
-            assert np.allclose(s.omega, om_fd, atol=1e-4)
+            assert np.allclose(s["omega"][k], om_fd, atol=1e-4)
 
 
 class TestFlatnessJacobians:
@@ -100,41 +105,36 @@ class TestFlatnessJacobians:
             a = rng.uniform(-3, 3, 3)
             j = rng.uniform(-2, 2, 3)
             psi, dpsi = rng.uniform(-1, 1, 2)
-            p = FlatPoint(r=np.zeros(3), v=v, a=a, j=j, psi=psi, dpsi=dpsi)
-            J = flatness_gradient(model, p)
+            J = flat_batch(model, v, a, j, psi, dpsi, grad=True)
 
-            def out(vv, aa, jj, ps, dps):
-                o = flat_batch(model, vv, aa, jj, ps, dps)
+            def out(vv, aa, jj):
+                o = flat_batch(model, vv, aa, jj, psi, dpsi)
                 return (float(o["f"][0]), o["z_b"][0].copy(),
                         o["omega"][0].copy())
 
             for k in range(3):
                 dv = np.zeros(3)
                 dv[k] = h
-                fp, zp, op = out(v + dv, a, j, psi, dpsi)
-                fm, zm, om = out(v - dv, a, j, psi, dpsi)
-                assert J.f_v[k] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
-                assert np.allclose(J.zb_v[:, k], (zp - zm) / (2 * h),
+                fp, zp, op = out(v + dv, a, j)
+                fm, zm, om = out(v - dv, a, j)
+                assert J["f_v"][0, k] == pytest.approx((fp - fm) / (2 * h),
+                                                       abs=1e-5)
+                assert np.allclose(J["zb_v"][0, :, k], (zp - zm) / (2 * h),
                                    atol=1e-5)
-                assert np.allclose(J.om_v[:, k], (op - om) / (2 * h),
+                assert np.allclose(J["om_v"][0, :, k], (op - om) / (2 * h),
                                    atol=1e-5)
-                fp, zp, op = out(v, a + dv, j, psi, dpsi)
-                fm, zm, om = out(v, a - dv, j, psi, dpsi)
-                assert J.f_a[k] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
-                assert np.allclose(J.zb_a[:, k], (zp - zm) / (2 * h),
+                fp, zp, op = out(v, a + dv, j)
+                fm, zm, om = out(v, a - dv, j)
+                assert J["f_a"][0, k] == pytest.approx((fp - fm) / (2 * h),
+                                                       abs=1e-5)
+                assert np.allclose(J["zb_a"][0, :, k], (zp - zm) / (2 * h),
                                    atol=1e-5)
-                assert np.allclose(J.om_a[:, k], (op - om) / (2 * h),
+                assert np.allclose(J["om_a"][0, :, k], (op - om) / (2 * h),
                                    atol=1e-5)
-                _, _, op = out(v, a, j + dv, psi, dpsi)
-                _, _, om = out(v, a, j - dv, psi, dpsi)
-                assert np.allclose(J.om_j[:, k], (op - om) / (2 * h),
+                _, _, op = out(v, a, j + dv)
+                _, _, om = out(v, a, j - dv)
+                assert np.allclose(J["om_j"][0, :, k], (op - om) / (2 * h),
                                    atol=1e-5)
-            _, _, op = out(v, a, j, psi + h, dpsi)
-            _, _, om = out(v, a, j, psi - h, dpsi)
-            assert np.allclose(J.om_psi, (op - om) / (2 * h), atol=1e-5)
-            _, _, op = out(v, a, j, psi, dpsi + h)
-            _, _, om = out(v, a, j, psi, dpsi - h)
-            assert np.allclose(J.om_dpsi, (op - om) / (2 * h), atol=1e-5)
 
 
 class TestLimits:
@@ -143,18 +143,34 @@ class TestLimits:
         vs = rng.uniform(-6, 6, size=(20, 3))
         as_ = rng.uniform(-3, 3, size=(20, 3))
         js = rng.uniform(-1, 1, size=(20, 3))
-        flat = flat_batch(model, vs, as_, js, np.zeros(20), np.zeros(20))
+        flat = flat_batch(model, vs, as_, js, rng.uniform(-3, 3, 20),
+                          rng.uniform(-1, 1, 20))
         rows = limits_residual_batch(limits, flat)
         for i in range(20):
-            p = FlatPoint(r=np.zeros(3), v=vs[i], a=as_[i], j=js[i])
-            s = flatness_map(model, p)
-            assert np.allclose(rows[i], limits_residual(model, limits, s),
-                               atol=1e-12)
+            want = oracles.limits_residual(limits, vs[i], flat["omega"][i],
+                                           flat["z_b"][i], flat["f"][i])
+            assert np.allclose(rows[i], want, atol=1e-12)
+
+    @pytest.mark.parametrize("psi0", [0.3, -2.5, 3.1])
+    def test_fixed_heading_constrains_nothing(self, model, limits, psi0):
+        # Planning evaluates the limits at heading 0; at any other constant
+        # heading the speed, tilt and thrust rows are the same numbers and
+        # the body-rate row differs by rounding only.
+        rng = np.random.default_rng(4)
+        vs = rng.uniform(-8, 8, size=(200, 3))
+        as_ = rng.uniform(-4, 4, size=(200, 3))
+        js = rng.uniform(-5, 5, size=(200, 3))
+        at_zero = limits_residual_batch(
+            limits, flat_batch(model, vs, as_, js, 0.0, 0.0))
+        at_psi0 = limits_residual_batch(
+            limits, flat_batch(model, vs, as_, js, psi0, 0.0))
+        for row in (0, 2, 3):
+            assert np.array_equal(at_psi0[:, row], at_zero[:, row])
+        assert np.max(np.abs(at_psi0[:, 1] - at_zero[:, 1])) <= 1e-12
 
     def test_hover_is_feasible(self, model, limits):
-        s = flatness_map(model, FlatPoint(r=np.zeros(3), v=np.zeros(3),
-                                          a=np.zeros(3), j=np.zeros(3)))
-        assert np.all(limits_residual(model, limits, s) <= 0.0)
+        s = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 0.0)
+        assert np.all(limits_residual_batch(limits, s) <= 0.0)
 
     def test_tightened_is_strictly_inside(self, limits):
         tight = limits.tightened(5e-3)
@@ -180,6 +196,11 @@ class TestLimits:
             Limits(v_max=-1.0)
 
 
+def _rollout(model, r0, v0, R0, times, thrusts, omegas):
+    return oracles.rollout_rk4(model.m, model.g, model.d_h, model.d_v,
+                               model.C_p, r0, v0, R0, times, thrusts, omegas)
+
+
 class TestIntegration:
     def test_ballistic_closed_form(self):
         clean = VehicleModel(d_h=0.0, d_v=0.0, C_p=0.0)
@@ -188,48 +209,22 @@ class TestIntegration:
         n = len(times)
         r0 = np.array([0.0, 0.0, 5.0])
         v0 = np.array([2.0, -1.0, 0.0])
-        rs, vs, _ = integrate_dynamics(clean, r0, v0, np.eye(3), times,
-                                       np.full(n, f), np.zeros((n, 3)))
-        t = times[-1]
+        rs = _rollout(clean, r0, v0, np.eye(3), times, np.full(n, f),
+                      np.zeros((n, 3)))
+        t = times[:, None]
         expect = r0 + v0 * t + 0.5 * np.array([0, 0, 1.0]) * t * t
-        assert np.allclose(rs[-1], expect, atol=1e-8)
-        assert np.allclose(vs[-1], v0 + np.array([0, 0, 1.0]) * t, atol=1e-8)
-
-    def test_matches_independent_rollout(self, model):
-        dt = 1e-3
-        times = np.arange(0.0, 1.0 + 1e-12, dt)
-        s0 = flatness_map(model, analytic_state(0.0))
-        thrusts = []
-        omegas = []
-        for t in times:
-            s = flatness_map(model, analytic_state(t))
-            thrusts.append(s.f)
-            omegas.append(s.omega)
-        thrusts = np.array(thrusts)
-        omegas = np.array(omegas)
-        rs, _, _ = integrate_dynamics(model, s0.r, s0.v, s0.R, times,
-                                      thrusts, omegas)
-        ref = oracles.rollout_rk4(model.m, model.g, model.d_h, model.d_v,
-                                  model.C_p, s0.r, s0.v, s0.R, times,
-                                  thrusts, omegas)
-        assert np.max(np.linalg.norm(rs - ref, axis=1)) < 1e-6
+        assert np.allclose(rs, expect, atol=1e-8)
 
     def test_reintegration_recovers_position(self, model):
         dt = 1e-3
         times = np.arange(0.0, 5.0 + 1e-12, dt)
-        s0 = flatness_map(model, analytic_state(0.0))
-        thrusts = np.empty(len(times))
-        omegas = np.empty((len(times), 3))
+        r, v, _, _, _, _ = analytic_state(times)
+        s0 = analytic_flat(model, 0.0)
         # inputs held per step; midpoint samples keep the hold second order
-        for k, t in enumerate(times):
-            s = flatness_map(model, analytic_state(t + 0.5 * dt))
-            thrusts[k] = s.f
-            omegas[k] = s.omega
-        rs, _, _ = integrate_dynamics(model, s0.r, s0.v, s0.R, times,
-                                      thrusts, omegas)
-        err = max(np.linalg.norm(rs[k] - analytic_state(t).r)
-                  for k, t in enumerate(times))
-        assert err < 1e-3
+        s = analytic_flat(model, times + 0.5 * dt)
+        rs = _rollout(model, r[0], v[0], attitudes(s0)[0], times, s["f"],
+                      s["omega"])
+        assert np.max(np.linalg.norm(rs - r, axis=1)) < 1e-3
 
 
 class TestVehicleModel:

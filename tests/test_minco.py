@@ -136,7 +136,7 @@ class TestGradients:
             x0 = np.concatenate([wp.ravel(), T])
             traj = minco.construct(0.0, T, wp, start, end)
             _, bundle = minco.energy(traj)
-            d_q, d_T = minco.propagate_gradient(traj, bundle, waypoints=wp)
+            d_q, d_T = minco.propagate_gradient(traj, bundle)
             got = np.concatenate([d_q.ravel(), d_T])
             want = oracles.central_diff(energy_of, x0, h=1e-6)
             scale = max(1.0, float(np.linalg.norm(want)))

@@ -172,7 +172,7 @@ class TestSolve:
                   corridor_polys=polys)
         x0 = np.concatenate([chart.join(xi0), tau0])
         f0, _ = chart_objective(chart, 0.0, boundary, x0, **kw)
-        rep = solve(chart, 0.0, boundary, xi0, tau0, yaw_plan=None,
+        rep = solve(chart, 0.0, boundary, xi0, tau0,
                     options=SolveOptions(max_iter=120), **kw)
         assert rep.objective <= f0
         assert rep.traj.t0 == 0.0

@@ -11,10 +11,8 @@ from swarmplan import fleet, minco, penalty
 from swarmplan.errors import SingularAttitude
 from swarmplan.geom import Aabb, HalfspacePolytope
 from swarmplan.penalty import (
-    ConstantYaw,
     PenaltyConfig,
     SafetyMargins,
-    TangentYaw,
     check_equivalent_criterion,
     phi,
     phi_arr,
@@ -117,7 +115,7 @@ def _fd_against_bundle(traj, q, fun, rel=3e-5, h=1e-6):
     """Compare propagate_gradient of fun's bundle with central differences
     over the stacked (waypoints, durations) vector."""
     val, bundle = fun(traj)
-    d_q, d_T = minco.propagate_gradient(traj, bundle, waypoints=q)
+    d_q, d_T = minco.propagate_gradient(traj, bundle)
     grad = np.concatenate([d_q.ravel(), d_T])
 
     t0, start, end = traj.t0, traj.boundary[0], traj.boundary[1]
@@ -233,8 +231,7 @@ class TestLimitsPenalty:
                                   np.zeros(3), np.zeros(3))
         traj = minco.construct(0.0, [4.0, 4.0], np.array([[2.0, 0.0, 0.0]]),
                                start, end)
-        val, bundle = penalty.limits_penalty(traj, model, limits,
-                                             ConstantYaw(), pconfig)
+        val, bundle = penalty.limits_penalty(traj, model, limits, pconfig)
         assert val == 0.0
         assert not bundle.d_coeffs.any()
 
@@ -244,8 +241,7 @@ class TestLimitsPenalty:
                                   np.zeros(3), np.zeros(3))
         traj = minco.construct(0.0, [1.5, 1.5], np.array([[30.0, 0.0, 0.0]]),
                                start, end)
-        val, _ = penalty.limits_penalty(traj, model, limits,
-                                        ConstantYaw(), pconfig)
+        val, _ = penalty.limits_penalty(traj, model, limits, pconfig)
         assert val > 0.0
 
     def test_nodes_follow_n_q_not_n_v(self, model, limits):
@@ -256,7 +252,7 @@ class TestLimitsPenalty:
                                   np.zeros(3), np.zeros(3))
         traj = minco.construct(0.0, [1.5, 1.5], np.array([[30.0, 0.0, 0.0]]),
                                start, end)
-        out = [penalty.limits_penalty(traj, model, limits, ConstantYaw(),
+        out = [penalty.limits_penalty(traj, model, limits,
                                       PenaltyConfig(n_q=16, n_v=n_v))
                for n_v in (8, 16)]
         (v8, b8), (v16, b16) = out
@@ -264,8 +260,7 @@ class TestLimitsPenalty:
         assert np.array_equal(b8.d_coeffs, b16.d_coeffs)
         assert np.array_equal(b8.d_T, b16.d_T)
 
-    @pytest.mark.parametrize("plan", [ConstantYaw(0.3), TangentYaw()])
-    def test_gradient_matches_fd(self, pconfig, model, limits, plan):
+    def test_gradient_matches_fd(self, pconfig, model, limits):
         rng = np.random.default_rng(9)
         # Quick enough that speed and tilt residuals go active.
         start = minco.BoundaryState(np.zeros(3), np.zeros(3), np.zeros(3))
@@ -276,7 +271,7 @@ class TestLimitsPenalty:
         traj = minco.construct(0.0, [1.4, 1.2, 1.4], q, start, end)
 
         def fun(tr):
-            return penalty.limits_penalty(tr, model, limits, plan, pconfig)
+            return penalty.limits_penalty(tr, model, limits, pconfig)
 
         val = _fd_against_bundle(traj, q, fun, rel=5e-5)
         assert val > 0.0
@@ -359,12 +354,10 @@ class TestStackedMatchesPerPiece:
         config = PenaltyConfig(n_q=n)
         for _ in range(2):
             traj = random_trajectory(rng, n_pieces=M, box=15.0)
-            for plan in (ConstantYaw(rng.uniform(-3.0, 3.0)), TangentYaw()):
-                val = self._assert_same(
-                    penalty.limits_penalty(traj, model, limits, plan, config),
-                    oracles.per_piece_limits_penalty(traj, model, limits,
-                                                     plan, config))
-                assert val > 0.0
+            val = self._assert_same(
+                penalty.limits_penalty(traj, model, limits, config),
+                oracles.per_piece_limits_penalty(traj, model, limits, config))
+            assert val > 0.0
 
     @pytest.mark.parametrize("M", PIECES)
     def test_singular_node_raises_on_both(self, pconfig, model, limits, M):
@@ -378,69 +371,7 @@ class TestStackedMatchesPerPiece:
                                minco.BoundaryState.hover(pts[0]), end)
         for fun in (penalty.limits_penalty, oracles.per_piece_limits_penalty):
             with pytest.raises(SingularAttitude):
-                fun(traj, model, limits, ConstantYaw(), pconfig)
-
-
-class TestYawPlans:
-    def test_constant_yaw(self):
-        plan = ConstantYaw(0.7)
-        v = np.random.default_rng(0).normal(size=(5, 3))
-        psi, dpsi, grads = plan.eval(v, v)
-        assert np.all(psi == 0.7) and np.all(dpsi == 0.0)
-        assert grads is None
-
-    def test_tangent_yaw_heading(self):
-        plan = TangentYaw()
-        v = np.array([[3.0, 4.0, 1.0]])
-        a = np.zeros((1, 3))
-        psi, dpsi, _ = plan.eval(v, a)
-        assert psi[0] == pytest.approx(np.arctan2(4.0, 3.0), abs=1e-6)
-        assert dpsi[0] == pytest.approx(0.0, abs=1e-7)
-
-    def test_tangent_yaw_rate_is_heading_derivative(self):
-        # Along a curving velocity profile, dpsi equals d/dt atan2(vy, vx).
-        plan = TangentYaw()
-        t = 0.8
-        h = 1e-6
-
-        def vel(s):
-            return np.array([[2.0 * np.cos(s), 3.0 * np.sin(s), 0.4]])
-
-        acc = (vel(t + h) - vel(t - h)) / (2 * h)
-        psi_p = np.arctan2(vel(t + h)[0, 1], vel(t + h)[0, 0])
-        psi_m = np.arctan2(vel(t - h)[0, 1], vel(t - h)[0, 0])
-        _, dpsi, _ = plan.eval(vel(t), acc)
-        assert dpsi[0] == pytest.approx((psi_p - psi_m) / (2 * h), abs=1e-5)
-
-    def test_tangent_yaw_gradients(self):
-        plan = TangentYaw()
-        rng = np.random.default_rng(11)
-        v = rng.normal(scale=3.0, size=(4, 3))
-        a = rng.normal(scale=2.0, size=(4, 3))
-        psi, dpsi, grads = plan.eval(v, a)
-        h = 1e-6
-        for k in range(3):
-            dv = np.zeros(3)
-            dv[k] = h
-            pp, dp, _ = plan.eval(v + dv, a)
-            pm, dm, _ = plan.eval(v - dv, a)
-            assert np.allclose(grads["psi_v"][:, k], (pp - pm) / (2 * h),
-                               atol=1e-4)
-            assert np.allclose(grads["dpsi_v"][:, k], (dp - dm) / (2 * h),
-                               atol=1e-4)
-            pp, dp, _ = plan.eval(v, a + dv)
-            pm, dm, _ = plan.eval(v, a - dv)
-            assert np.allclose(grads["psi_a"][:, k], (pp - pm) / (2 * h),
-                               atol=1e-4)
-            assert np.allclose(grads["dpsi_a"][:, k], (dp - dm) / (2 * h),
-                               atol=1e-4)
-
-    def test_tangent_yaw_near_hover(self):
-        plan = TangentYaw()
-        psi, dpsi, grads = plan.eval(np.array([[1e-9, 0.0, 0.0]]),
-                                     np.array([[1.0, 1.0, 0.0]]))
-        assert np.isfinite(dpsi[0])
-        assert all(np.isfinite(g).all() for g in grads.values())
+                fun(traj, model, limits, pconfig)
 
 
 class TestComposite:

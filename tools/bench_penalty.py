@@ -9,8 +9,8 @@ For M = 2, 6 and 12 pieces it builds one seeded hover-to-hover spline, one
 corridor box per piece drawn in so that nodes violate it, and one neighbour
 flying through the same space at the same time.  It then times
 corridor_penalty, capsule_penalty (SafetyMargins(5, 2, 0.5), as the
-fleetbench workloads) and limits_penalty (default VehicleModel, Limits and
-ConstantYaw), all at the default PenaltyConfig.  Each time is the median
+fleetbench workloads) and limits_penalty (default VehicleModel and Limits),
+all at the default PenaltyConfig.  Each time is the median
 over ROUNDS rounds of the mean over CALLS calls, in ms, after WARMUP calls.
 It prints one JSON object: ms per evaluation by functional and M, and the
 host's core count.
@@ -34,8 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from swarmplan import minco, penalty  # noqa: E402
 from swarmplan.dynamics import Limits, VehicleModel  # noqa: E402
 from swarmplan.geom import Aabb, HalfspacePolytope  # noqa: E402
-from swarmplan.penalty import (ConstantYaw, PenaltyConfig,  # noqa: E402
-                               SafetyMargins)
+from swarmplan.penalty import PenaltyConfig, SafetyMargins  # noqa: E402
 
 SEED = 1
 PIECES = (2, 6, 12)
@@ -94,7 +93,7 @@ def main():
             "capsule_penalty": lambda: penalty.capsule_penalty(
                 traj, [nb], MARGINS, config),
             "limits_penalty": lambda: penalty.limits_penalty(
-                traj, model, limits, ConstantYaw(), config),
+                traj, model, limits, config),
         }
         for name, fun in calls.items():
             out[name][str(M)] = _ms_per_call(fun)
