@@ -9,6 +9,7 @@ pulled back onto (waypoints, T) through the adjoint of that system.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -130,6 +131,13 @@ class MincoTrajectory:
             out[inside] = np.einsum("nj,njd->nd", bt, self.coeffs[ii])
         return out
 
+    @cached_property
+    def system(self):
+        """(rows, cols, vals) of the defining system's matrix, which only
+        the durations enter; construct stores the one it solved with, so
+        propagate_gradient does not build it again."""
+        return _system_matrix(self.T)
+
     def waypoints(self):
         """Interior junction positions, shape (M-1, 3)."""
         if self.n_pieces < 2:
@@ -208,7 +216,8 @@ def construct(t0, durations, waypoints, start, end):
     waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
     if waypoints.shape[0] != M - 1:
         raise ValueError("expected M-1 interior waypoints")
-    ab = _banded(*_system_matrix(T), 6 * M)
+    system = _system_matrix(T)
+    ab = _banded(*system, 6 * M)
     try:
         sol = solve_banded((_BAND_L, _BAND_U), ab,
                            _rhs(waypoints, start, end))
@@ -216,8 +225,9 @@ def construct(t0, durations, waypoints, start, end):
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("banded solve produced non-finite coefficients")
-    coeffs = sol.reshape(M, 6, 3)
-    return MincoTrajectory(t0, T, coeffs, (start, end))
+    traj = MincoTrajectory(t0, T, sol.reshape(M, 6, 3), (start, end))
+    traj.system = system
+    return traj
 
 
 def propagate_gradient(traj, bundle):
@@ -230,7 +240,7 @@ def propagate_gradient(traj, bundle):
     """
     T = traj.T
     M = traj.n_pieces
-    abT = _banded(*_system_matrix(T), 6 * M, transpose=True)
+    abT = _banded(*traj.system, 6 * M, transpose=True)
     rhs = bundle.d_coeffs.reshape(6 * M, 3)
     lam = solve_banded((_BAND_U, _BAND_L), abT, rhs)
     if not np.all(np.isfinite(lam)):

@@ -21,7 +21,6 @@ order, so values and gradients are bit-identical to evaluating one piece at
 a time (tests/oracles.py keeps those per-piece loops as the reference).
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -342,9 +341,11 @@ def check_equivalent_criterion(traj_a, traj_b, margins, resolution):
     v in [-2 M_d, 2 M_d] at the given resolution.  Each sweep finds the
     grid sample np.argmin over the whole grid would return, the first
     (t, v) in row-major order among the smallest, by Lipschitz branch and
-    bound (_grid_argmin), and polishes it by alternating golden sections.
-    Returns (satisfied, worst margin, (t_a, t_b)); the witness times
-    produce that margin.
+    bound (_grid_argmin), then polishes it on a few sample grids zoomed in
+    around it, each _ZOOM_K / 2 times finer than the last
+    (_worst_one_sided), so the margin is never above the grid's.  Returns
+    (satisfied, worst margin, (t_a, t_b)); the witness times produce that
+    margin.
     """
     if resolution <= 0.0:
         raise ValueError("grid resolution must be positive")
@@ -370,36 +371,45 @@ def _window_sq_dists(pos, times, nb, offsets, margins):
 
 def _worst_one_sided(traj_a, traj_b, margins, resolution):
     """Worst weighted distance of a(t) to b(t + v), t in a's domain, and
-    its witness (t, t + v)."""
+    its witness (t, t + v).
+
+    The grid minimum (_grid_argmin) is polished by zooming: each level
+    samples a (2 _ZOOM_K + 1)^2 grid of (t, v) offsets spanning +- step
+    around the best sample so far, t clipped to a's domain and v to
+    [-2 M_d, 2 M_d] (the single offset 0 when M_d = 0), keeps the smallest
+    sample and divides the step by _ZOOM_K / 2.  The result is never above
+    the grid sample.
+    """
     t_grid = _closed_grid(traj_a.t0, traj_a.t_end, resolution)
     # With M_d = 0 the window is the single offset 0.
     v_grid = _closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, resolution)
     d2, k = _grid_argmin(traj_a, traj_b, t_grid, v_grid, margins)
     ti, vi = divmod(k, len(v_grid))
-    t_best, v_best = t_grid[ti], v_grid[vi]
-    on_grid = (float(np.sqrt(d2)), t_best, v_best)
-
-    at_a, at_b = _point_evaluator(traj_a), _point_evaluator(traj_b)
-
-    def dist(pos_a, t_b):
-        return float(np.sqrt(margins.wdist_sq(pos_a - at_b(t_b))))
-
-    lo_v, hi_v = (-2.0 * margins.M_d, 2.0 * margins.M_d)
-    for _ in range(3):
-        t_best = _golden(lambda t: dist(at_a(t), t + v_best),
-                         max(traj_a.t0, t_best - resolution),
-                         min(traj_a.t_end, t_best + resolution))
-        if margins.M_d > 0.0:
-            a_best = at_a(t_best)
-            v_best = _golden(lambda v: dist(a_best, t_best + v),
-                             max(lo_v, v_best - resolution),
-                             min(hi_v, v_best + resolution))
-    worst, t, v = min((dist(at_a(t_best), t_best + v_best), t_best, v_best),
-                      on_grid)
+    best = (float(np.sqrt(d2)), t_grid[ti], v_grid[vi])
+    hi_v = 2.0 * margins.M_d
+    step = resolution
+    for _ in range(_ZOOM_LEVELS):
+        _, t, v = best
+        ts = np.clip(t + step * _ZOOM, traj_a.t0, traj_a.t_end)
+        vs = np.clip(v + step * _ZOOM, -hi_v, hi_v) if hi_v > 0.0 else v_grid
+        d2 = _window_sq_dists(traj_a.eval_many(ts, 0), ts, traj_b, vs, margins)
+        i, j = divmod(int(np.argmin(d2)), len(vs))
+        best = min((float(np.sqrt(d2[i, j])), ts[i], vs[j]), best)
+        step /= _ZOOM_K / 2
+    worst, t, v = best
     return worst, (float(t), float(t + v))
 
 
 _BNB_SLACK = 1e-6   # m; covers rounding in the samples and at junctions
+# The polish's zoom: _ZOOM_LEVELS levels of (2 _ZOOM_K + 1)^2 samples, two
+# batched samplings each.  A 2-D grid per level follows valleys diagonal in
+# (t, v), where alternating 1-D searches stall.  Each level spans +- two of
+# the last level's sample spacings, as in a flat diagonal valley the best
+# sample can sit more than one spacing from the minimum; the last spacing
+# is resolution / 31250 (6.4e-7 s at the audit's 0.02 s).
+_ZOOM_K = 10
+_ZOOM_LEVELS = 6
+_ZOOM = np.arange(-_ZOOM_K, _ZOOM_K + 1) / _ZOOM_K
 
 
 def _grid_argmin(traj_a, traj_b, t_grid, v_grid, margins):
@@ -489,48 +499,8 @@ def _span_speed(traj, speed, lo, hi):
     return np.max(np.where(meets, speed[:, None], 0.0), axis=0)
 
 
-def _point_evaluator(traj):
-    """t -> traj.eval_many(np.array([t]), 0)[0], by the same numpy
-    operations on one row, bit for bit, without its masks."""
-    knots = traj.knots.tolist()
-    start = traj.coeffs[0, 0, :]
-    end = traj.coeffs[-1].T @ minco.basis(traj.T[-1], 0)
-
-    def at(t):
-        if t < knots[0]:
-            return start
-        if t > knots[-1]:
-            return end
-        i = min(max(bisect_right(knots, t) - 1, 0), traj.n_pieces - 1)
-        return np.einsum("nj,njd->nd", minco.basis_many(t - knots[i], 0),
-                         traj.coeffs[i:i + 1])[0]
-
-    return at
-
-
 def _closed_grid(lo, hi, step):
     if hi <= lo:
         return np.array([lo])
     n = int(np.ceil((hi - lo) / step)) + 1
     return np.linspace(lo, hi, n)
-
-
-def _golden(fun, lo, hi, iters=40):
-    """Golden-section minimizer on [lo, hi]."""
-    if hi <= lo:
-        return lo
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)

@@ -161,6 +161,57 @@ def dense_grid_argmin(traj_a, traj_b, t_grid, v_grid, margins):
     return float(d2.flat[k]), k
 
 
+def golden_section(fun, lo, hi, iters=40):
+    """Golden-section minimizer of a scalar function on [lo, hi]."""
+    if hi <= lo:
+        return lo
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def golden_pair_margin(traj_a, traj_b, margins, resolution):
+    """The pair kernel's margin by its earlier polish: from the dense grid
+    minimum of each orientation, three rounds of golden sections over
+    +- resolution, first in t at a fixed offset v, then in v at that t.
+    Minimum over both orientations, less 2 M_r."""
+    def one_sided(a, b):
+        t_grid = closed_grid(a.t0, a.t_end, resolution)
+        v_grid = closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d,
+                             resolution)
+        d2, k = dense_grid_argmin(a, b, t_grid, v_grid, margins)
+        t_best, v_best = t_grid[k // len(v_grid)], v_grid[k % len(v_grid)]
+
+        def dist(t, v):
+            return float(margins.wdist(a.eval(t, 0) - b.eval(t + v, 0)))
+
+        lo_v, hi_v = -2.0 * margins.M_d, 2.0 * margins.M_d
+        for _ in range(3):
+            t_best = golden_section(lambda t: dist(t, v_best),
+                                    max(a.t0, t_best - resolution),
+                                    min(a.t_end, t_best + resolution))
+            if margins.M_d > 0.0:
+                v_best = golden_section(lambda v: dist(t_best, v),
+                                        max(lo_v, v_best - resolution),
+                                        min(hi_v, v_best + resolution))
+        return min(dist(t_best, v_best), float(np.sqrt(d2)))
+
+    worst = min(one_sided(traj_a, traj_b), one_sided(traj_b, traj_a))
+    return worst - 2.0 * margins.M_r
+
+
 # ---------------------------------------------------------------------------
 # geometry
 

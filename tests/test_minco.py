@@ -142,6 +142,29 @@ class TestGradients:
             scale = max(1.0, float(np.linalg.norm(want)))
             assert np.linalg.norm(got - want) / scale < 1e-5
 
+    def test_adjoint_reuses_the_constructed_matrix(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        T, wp, start, end = random_instance(rng, M=4)
+        real = minco._system_matrix
+        calls = []
+
+        def counted(durations):
+            calls.append(1)
+            return real(durations)
+
+        monkeypatch.setattr(minco, "_system_matrix", counted)
+        traj = minco.construct(0.0, T, wp, start, end)
+        _, bundle = minco.energy(traj)
+        got = minco.propagate_gradient(traj, bundle)
+        assert len(calls) == 1
+        # A trajectory built without construct builds the same matrix.
+        bare = minco.MincoTrajectory(traj.t0, traj.T, traj.coeffs,
+                                     traj.boundary)
+        want = minco.propagate_gradient(bare, bundle)
+        assert len(calls) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_gradient_bundle_algebra(self):
         a = minco.GradientBundle(np.ones((2, 6, 3)), np.ones(2))
         b = minco.GradientBundle(2 * np.ones((2, 6, 3)), 3 * np.ones(2))

@@ -570,15 +570,76 @@ class TestGridSearch:
         # Two audit-fleet lanes 12 m apart at the audit's grid step.
         a, b = _lane(20.0), _lane(32.0)
         res = fleet.AUDIT_SHARE * margins.M_d
-        real = minco.MincoTrajectory.eval_many
-        points = []
+        real_eval = minco.MincoTrajectory.eval_many
+        real_argmin = penalty._grid_argmin
+        points = {"grid": 0, "polish": 0}
+        phase = ["polish"]
 
         def counted(self, ts, order=0):
-            points.append(np.size(ts))
-            return real(self, ts, order)
+            points[phase[0]] += np.size(ts)
+            return real_eval(self, ts, order)
+
+        def grid_phase(*args):
+            phase[0] = "grid"
+            try:
+                return real_argmin(*args)
+            finally:
+                phase[0] = "polish"
 
         monkeypatch.setattr(minco.MincoTrajectory, "eval_many", counted)
+        monkeypatch.setattr(penalty, "_grid_argmin", grid_phase)
         penalty._worst_one_sided(a, b, margins, res)
         n_t = len(penalty._closed_grid(a.t0, a.t_end, res))
         n_v = len(penalty._closed_grid(-2 * margins.M_d, 2 * margins.M_d, res))
-        assert sum(points) <= 0.25 * n_t * n_v
+        assert 0 < points["grid"] <= 0.25 * n_t * n_v
+        side = 2 * penalty._ZOOM_K + 1
+        bound = penalty._ZOOM_LEVELS * (side ** 2 + side)
+        assert 0 < points["polish"] <= bound
+
+
+def _grid_margin(a, b, margins, res):
+    """The smaller grid minimum of the two one-sided sweeps, less 2 M_r:
+    the kernel's margin before its polish."""
+    d2 = []
+    for x, y in ((a, b), (b, a)):
+        t_grid = penalty._closed_grid(x.t0, x.t_end, res)
+        v_grid = penalty._closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d,
+                                      res)
+        d2.append(oracles.dense_grid_argmin(x, y, t_grid, v_grid, margins)[0])
+    return float(np.sqrt(min(d2))) - 2.0 * margins.M_r
+
+
+class TestPolish:
+    """The zoom polish against the earlier golden-section polish."""
+
+    @staticmethod
+    def _assert_not_above(a, b, margins, res):
+        margin = check_equivalent_criterion(a, b, margins, res)[1]
+        assert margin <= _grid_margin(a, b, margins, res)
+        assert margin <= oracles.golden_pair_margin(a, b, margins, res) + 1e-6
+
+    def test_lanes(self, margins):
+        res = fleet.AUDIT_SHARE * margins.M_d
+        for y, delay in ((32.0, 0.0), (26.0, 0.0), (21.0, 3.0), (20.0, 8.0)):
+            a, b = _lane(20.0), _lane(y).shifted(delay)
+            self._assert_not_above(a, b, margins, res)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(33)
+        for n in range(102):
+            margins = SafetyMargins(M_r=5.0, M_d=(0.0, 0.5, 2.0)[n % 3], w=0.5)
+            a = _free_ends_trajectory(rng)
+            b = _free_ends_trajectory(rng)
+            self._assert_not_above(a, b, margins, 0.1)
+
+    def test_follows_a_diagonal_valley(self):
+        # A pair where alternating golden sections in t and in v stall
+        # above the minimum that a grid five times finer samples.
+        rng = np.random.default_rng(83)
+        a = _free_ends_trajectory(rng)
+        b = _free_ends_trajectory(rng)
+        margins = SafetyMargins(M_r=5.0, M_d=2.0, w=0.5)
+        res = 0.1
+        brute = oracles.brute_pair_margin(a, b, margins, res / 5)
+        assert oracles.golden_pair_margin(a, b, margins, res) > brute
+        assert check_equivalent_criterion(a, b, margins, res)[1] <= brute

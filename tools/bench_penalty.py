@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-evaluation time of the three quadrature penalties.
+"""Per-evaluation time of the three quadrature penalties and per-call time
+of the pair kernel.
 
 Run from anywhere; it imports the program from this checkout's src/:
 
@@ -10,10 +11,16 @@ corridor box per piece drawn in so that nodes violate it, and one neighbour
 flying through the same space at the same time.  It then times
 corridor_penalty, capsule_penalty (SafetyMargins(5, 2, 0.5), as the
 fleetbench workloads) and limits_penalty (default VehicleModel and Limits),
-all at the default PenaltyConfig.  Each time is the median
-over ROUNDS rounds of the mean over CALLS calls, in ms, after WARMUP calls.
-It prints one JSON object: ms per evaluation by functional and M, and the
-host's core count.
+all at the default PenaltyConfig.  It also times
+check_equivalent_criterion at the audit's grid step on three fixed pairs
+of 90 m, 15 s, three-piece lanes 36 m up, like audit-fleet's: two parallel
+lanes 12 m apart ("lanes", which the coefficient boxes prune), two lanes
+crossing at their midpoints 21 s apart, as consecutive audit-fleet waves
+do ("waves"), and the same two lanes at the same time ("crossing").  Each
+time is the median over ROUNDS rounds of the mean over CALLS calls, in ms,
+after WARMUP calls.  It prints one JSON object: ms per evaluation by
+functional and M, ms per pair-kernel call by pair, and the host's core
+count.
 """
 
 import json
@@ -31,7 +38,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from swarmplan import minco, penalty  # noqa: E402
+from swarmplan import fleet, minco, penalty  # noqa: E402
 from swarmplan.dynamics import Limits, VehicleModel  # noqa: E402
 from swarmplan.geom import Aabb, HalfspacePolytope  # noqa: E402
 from swarmplan.penalty import PenaltyConfig, SafetyMargins  # noqa: E402
@@ -51,6 +58,23 @@ def _spline(rng, M, t0):
     return minco.construct(t0, rng.uniform(3.0, 6.0, size=M), pts[1:-1],
                            minco.BoundaryState.hover(pts[0]),
                            minco.BoundaryState.hover(pts[-1]))
+
+
+def _lane(p0, p1, t0=0.0):
+    """A 90 m, 15 s, three-piece hover-to-hover lane at z = 36 m."""
+    p0, p1 = np.array([*p0, 36.0]), np.array([*p1, 36.0])
+    q = p0 + (p1 - p0) * (np.arange(1, 3)[:, None] / 3.0)
+    return minco.construct(t0, np.full(3, 5.0), q,
+                           minco.BoundaryState.hover(p0),
+                           minco.BoundaryState.hover(p1))
+
+
+# name -> (a's start, a's goal, b's start, b's goal, b's departure).
+PAIRS = {
+    "lanes": ((5, 20), (95, 20), (5, 32), (95, 32), 0.0),
+    "waves": ((5, 50), (95, 50), (50, 5), (50, 95), 21.0),
+    "crossing": ((5, 50), (95, 50), (50, 5), (50, 95), 0.0),
+}
 
 
 def _corridor(traj):
@@ -97,7 +121,13 @@ def main():
         }
         for name, fun in calls.items():
             out[name][str(M)] = _ms_per_call(fun)
-    print(json.dumps({"unit": "ms per evaluation", "seed": SEED,
+    res = fleet.AUDIT_SHARE * MARGINS.M_d
+    out["check_equivalent_criterion"] = {}
+    for name, (a0, a1, b0, b1, t_b) in PAIRS.items():
+        a, b = _lane(a0, a1), _lane(b0, b1, t_b)
+        out["check_equivalent_criterion"][name] = _ms_per_call(
+            lambda: penalty.check_equivalent_criterion(a, b, MARGINS, res))
+    print(json.dumps({"unit": "ms per evaluation or call", "seed": SEED,
                       "cores": os.cpu_count(), "ms": out}))
 
 
