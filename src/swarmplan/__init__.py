@@ -19,7 +19,7 @@ from .fleet import (DisturbanceSpec, FleetDb, Mission, min_pairwise_distance,
                     robustness_experiment)
 from .geom import (Aabb, HalfspacePolytope, ObstacleMap, PolyMap,
                    chebyshev_like_center, generate_polytope, polyhedronize,
-                   segment_inside, stab_all, stab_query, vertex_enumeration)
+                   segment_inside, stab_all, vertex_enumeration)
 from .minco import BoundaryState, GradientBundle, MincoTrajectory, construct
 from .optimize import (CoordinateChart, SolveOptions, SolveReport,
                        StampedProfile, chart_build, chart_invert,
@@ -48,6 +48,6 @@ __all__ = [
     "generate_polytope", "load_config", "min_pairwise_distance",
     "plan_mission", "phi", "polyhedronize", "post_check",
     "robustness_experiment", "segment_inside", "shortest_path_refine",
-    "solve", "stab_all", "stab_query", "temporal_schedule",
+    "solve", "stab_all", "temporal_schedule",
     "trapezoidal_allocation", "vertex_enumeration",
 ]

@@ -238,7 +238,7 @@ def cmd_profile(args) -> int:
     vel = traj.eval_many(ts, 1)
     acc = traj.eval_many(ts, 2)
     jer = traj.eval_many(ts, 3)
-    flat = flat_batch(model, vel, acc, jer, 0.0, 0.0)
+    flat = flat_batch(model, vel, acc, jer)
     speed = np.linalg.norm(vel, axis=1)
     tilt = np.degrees(np.arccos(np.clip(flat["z_b"][:, 2], -1.0, 1.0)))
     om = np.linalg.norm(flat["omega"], axis=1)

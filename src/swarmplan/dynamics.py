@@ -1,19 +1,20 @@
 """Drag-aware differential flatness for a multicopter.
 
-The map takes flat outputs (position derivatives up to jerk, yaw, yaw rate)
-to attitude, thrust and body rates under a lumped drag model
+The map takes flat outputs (position derivatives up to jerk) to attitude,
+thrust and body rates under a lumped drag model
 
     drag = R D R^T sigma(||v||) v,   D = diag(d_h, d_h, d_v),
     sigma(x) = 1 + C_p x.
 
-Attitude comes from the Hopf fibration: q = q_z (x) q_psi where q_z is the
-tilt-only rotation taking e_3 to z_b.  Gradients are analytic: flat_batch
+Attitude comes from the Hopf fibration at heading 0: q = q_z, the
+tilt-only rotation taking e_3 to z_b, so q = (w, x, y, 0) and the body
+rates need no quaternion product.  Gradients are analytic: flat_batch
 pushes 9 tangent directions (v, a, j) through the chain at once.
 
-Planning holds the heading fixed, so yaw carries no tangent direction.  A
-fixed heading constrains nothing: thrust, z_b and drag do not depend on psi,
-and at psi_dot = 0 the body rates are those at psi = 0 turned by -psi about
-the body z axis, so every limit residual equals its value at psi = 0 (the
+Planning holds the heading at 0, and that constrains nothing: thrust, z_b
+and drag do not depend on the heading psi, and at psi_dot = 0 the body
+rates at any other heading are the heading-0 rates turned by -psi about
+the body z axis, so every limit residual equals its heading-0 value (the
 rate row up to rounding).
 """
 
@@ -94,22 +95,15 @@ class Limits:
                       f_min=self.f_m - f_r, f_max=self.f_m + f_r)
 
 
-def _qmul(a, b):
-    """Hamilton product on (..., 4) arrays, scalar part first."""
-    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1)
-
-
-def _qconj(q):
-    out = q.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
+def _rates(q, q_dot):
+    """Body rates 2 (q* (x) q_dot)[1:] of a tilt quaternion q = (w, x, y, 0)
+    and its rate q_dot = (w', x', y', 0), read from the last axis.  Each
+    term dropped from the full product has an exact zero factor, so the
+    values are the full product's."""
+    w, x, y = q[..., 0], q[..., 1], q[..., 2]
+    dw, dx, dy = q_dot[..., 0], q_dot[..., 1], q_dot[..., 2]
+    return 2.0 * np.stack([w * dx - x * dw, w * dy - y * dw, y * dx - x * dy],
+                          axis=-1)
 
 
 # Tangent directions pushed through the batch chain: v, a, j basis vectors.
@@ -122,21 +116,19 @@ _DJ = np.zeros((_N_DIRS, 3))
 _DJ[6:9] = np.eye(3)
 
 
-def flat_batch(model, v, a, j, psi, dpsi, grad=False):
-    """Evaluate the flatness chain on n points at once.
+def flat_batch(model, v, a, j, grad=False):
+    """Evaluate the flatness chain on n points at once, at heading 0.
 
-    Returns a dict with primal fields (f, omega, z_b, q, drag, speed_sq)
-    and, when grad is set, Jacobians f_v, f_a (n,3) and zb_v, zb_a, om_v,
-    om_a, om_j (n,3,3) with respect to v, a and j at the given heading.
-    Raises SingularAttitude if any point sits at the free-fall or
-    inverted-attitude singularity.
+    Returns a dict with primal fields (f, omega, z_b, q, drag, speed_sq),
+    where q = (w, x, y, 0) is the tilt quaternion, and, when grad is set,
+    Jacobians f_v, f_a (n,3) and zb_v, zb_a, om_v, om_a, om_j (n,3,3) with
+    respect to v, a and j.  Raises SingularAttitude if any point sits at
+    the free-fall or inverted-attitude singularity.
     """
     v = np.asarray(v, dtype=float).reshape(-1, 3)
     a = np.asarray(a, dtype=float).reshape(-1, 3)
     j = np.asarray(j, dtype=float).reshape(-1, 3)
     n = len(v)
-    psi = np.broadcast_to(np.asarray(psi, dtype=float), (n,))
-    dpsi = np.broadcast_to(np.asarray(dpsi, dtype=float), (n,))
 
     speed = np.linalg.norm(v, axis=1)
     s_eta = np.sqrt(speed * speed + model.eta)
@@ -167,23 +159,13 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
         zb_dot[:, 2] / (2.0 * Dq),
         -zb_dot[:, 1] / Dq + zb[:, 1] * zb_dot[:, 2] / Dq3,
         zb_dot[:, 0] / Dq - zb[:, 0] * zb_dot[:, 2] / Dq3,
-        np.zeros(n),
     ], axis=1)
-
-    half = 0.5 * psi
-    qpsi = np.stack([np.cos(half), np.zeros(n), np.zeros(n), np.sin(half)], axis=1)
-    qpsi_dot = 0.5 * dpsi[:, None] * np.stack(
-        [-np.sin(half), np.zeros(n), np.zeros(n), np.cos(half)], axis=1)
-
-    q = _qmul(qz, qpsi)
-    q_dot = _qmul(qz_dot, qpsi) + _qmul(qz, qpsi_dot)
-    omega = 2.0 * _qmul(_qconj(q), q_dot)[:, 1:]
 
     out = {
         "f": f,
-        "omega": omega,
+        "omega": _rates(qz, qz_dot),
         "z_b": zb,
-        "q": q,
+        "q": qz,
         "speed_sq": speed * speed,
     }
     drag_coef = sig[:, None] * v
@@ -239,7 +221,6 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
         d_z3 / (2.0 * DqD),
         -d_zb[:, :, 1] / DqD + zb[:, None, 1] * d_z3 / Dq3[:, None],
         d_zb[:, :, 0] / DqD - zb[:, None, 0] * d_z3 / Dq3[:, None],
-        np.zeros((n, _N_DIRS)),
     ], axis=2)
     Dq5 = Dq ** 5
     d_qz_dot = np.stack([
@@ -255,16 +236,10 @@ def flat_batch(model, v, a, j, psi, dpsi, grad=False):
         - d_zb[:, :, 0] * zb_dot[:, None, 2] / Dq3[:, None]
         - zb[:, None, 0] * d_zb_dot[:, :, 2] / Dq3[:, None]
         + 3.0 * zb[:, None, 0] * zb_dot[:, None, 2] * d_z3 / Dq5[:, None],
-        np.zeros((n, _N_DIRS)),
     ], axis=2)
 
-    qpsiD = qpsi[:, None, :]
-    d_q = _qmul(d_qz, qpsiD)
-    d_q_dot = _qmul(d_qz_dot, qpsiD) + _qmul(d_qz, qpsi_dot[:, None, :])
-    qD = q[:, None, :]
-    q_dotD = q_dot[:, None, :]
-    d_omega = 2.0 * (_qmul(_qconj(d_q), q_dotD)
-                     + _qmul(_qconj(qD), d_q_dot))[:, :, 1:]
+    d_omega = (_rates(d_qz, qz_dot[:, None, :])
+               + _rates(qz[:, None, :], d_qz_dot))
 
     out["f_v"] = d_f[:, 0:3]
     out["f_a"] = d_f[:, 3:6]

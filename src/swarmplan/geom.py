@@ -46,19 +46,9 @@ class Aabb:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
-    def clipped(self, other):
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(hi < lo):
-            raise ValueError("clip produced an empty box")
-        return Aabb(lo, hi)
-
     def sample(self, rng, n=1):
         pts = rng.uniform(self.lo, self.hi, size=(n, 3))
         return pts[0] if n == 1 else pts
-
-    def volume(self):
-        return float(np.prod(self.hi - self.lo))
 
     @staticmethod
     def from_points(pts, pad=0.0):
@@ -388,15 +378,6 @@ class PolyMap:
             hit[in_box] = poly.contains_many(sub[in_box], slack)
             mask[np.flatnonzero(todo)[hit]] = True
         return mask
-
-
-def stab_query(polymap, x):
-    """Index of the deepest polytope containing x, ties to the lowest index.
-
-    Returns None when x is outside the union.
-    """
-    hits = stab_all(polymap, x)
-    return hits[0] if hits else None
 
 
 def stab_all(polymap, x):

@@ -240,17 +240,6 @@ def load_missions(path: str) -> list:
     return missions
 
 
-def write_missions(path: str, missions) -> None:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "t_o", "ox", "oy", "oz", "fx", "fy", "fz"])
-    for m in missions:
-        w.writerow([m.id, _fmt_float(m.t_o)]
-                   + [_fmt_float(v) for v in m.p_o]
-                   + [_fmt_float(v) for v in m.p_f])
-    atomic_write_text(path, buf.getvalue())
-
-
 def write_profile_csv(path: str, rows) -> None:
     """rows: iterable of (t, speed, tilt_deg, omega_norm, thrust_norm,
     drag_norm)."""

@@ -146,9 +146,6 @@ class MincoTrajectory:
                for i in range(self.n_pieces - 1)]
         return np.array(pts)
 
-    def shifted(self, new_t0):
-        return MincoTrajectory(new_t0, self.T, self.coeffs, self.boundary)
-
 
 def _system_matrix(durations):
     """Rows, cols, vals triplets of the defining system; only the durations

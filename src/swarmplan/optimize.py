@@ -586,7 +586,7 @@ def post_check(traj, corridor_polys, neighbors, margins, model,
     acc = traj.eval_many(ts, 2)
     jer = traj.eval_many(ts, 3)
     try:
-        flat = flat_batch(model, vel, acc, jer, 0.0, 0.0)
+        flat = flat_batch(model, vel, acc, jer)
     except SingularAttitude as exc:
         raise PostCheckFailure(f"flatness map degenerates on the dense "
                                f"grid: {exc}") from exc

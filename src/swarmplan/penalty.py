@@ -8,11 +8,11 @@ phi_mu clamps constraint violations through a C^2 cubic blend:
 
 I0 penalizes control effort plus total time, I1 corridor violations, I2
 space-time capsule violations against committed neighbors, I3 physical
-limits through the flatness map at the fixed heading psi = 0, which
-constrains nothing (see dynamics).  Every functional returns its value and
-exact gradients with respect to piece coefficients and durations; node
-positions scale with the piece duration, so durations enter both the
-quadrature weights and the node times.
+limits through the flatness map at heading 0, which constrains nothing
+(see dynamics).  Every functional returns its value and exact gradients
+with respect to piece coefficients and durations; node positions scale
+with the piece duration, so durations enter both the quadrature weights
+and the node times.
 
 I1, I2 and I3 evaluate all pieces' nodes in one stacked pass
 (_stacked_nodes): one batched basis product per derivative order, and for
@@ -280,7 +280,7 @@ def limits_penalty(traj, model, limits, config):
     n = config.n_q
     nodes = _stacked_nodes(traj, n, (1, 2, 3, 4))
     vel, acc, jer, snp = (nodes.deriv[k].reshape(-1, 3) for k in (1, 2, 3, 4))
-    flat = flat_batch(model, vel, acc, jer, 0.0, 0.0, grad=True)
+    flat = flat_batch(model, vel, acc, jer, grad=True)
     G = limits_residual_batch(limits, flat)
     val, der = phi_arr(config.mu, G)
     h = np.sum(val, axis=1)

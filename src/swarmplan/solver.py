@@ -9,7 +9,7 @@ stalls, so callers always get the lowest objective seen.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class MinimizeResult:
     iterations: int
     evaluations: int
     status: str
-    trace: list = field(default_factory=list)
 
     @property
     def grad_inf(self) -> float:
@@ -121,8 +120,7 @@ class _WolfeSearch:
 
 def minimize(fun, x0, *, memory: int = 10, gtol: float = 1e-5,
              gtol_is_relative: bool = True, max_iter: int = 500,
-             c1: float = 1e-4, c2: float = 0.9,
-             trace: bool = False) -> MinimizeResult:
+             c1: float = 1e-4, c2: float = 0.9) -> MinimizeResult:
     """Minimize fun(x) -> (f, g) from x0.
 
     Accepted iterates have non-increasing objective.  Termination at
@@ -142,7 +140,6 @@ def minimize(fun, x0, *, memory: int = 10, gtol: float = 1e-5,
 
     hist: deque = deque(maxlen=memory)
     best_x, best_f, best_g = x.copy(), f, g.copy()
-    rows = []
     status = MAX_ITER
     it = 0
     for it in range(1, max_iter + 1):
@@ -177,15 +174,13 @@ def minimize(fun, x0, *, memory: int = 10, gtol: float = 1e-5,
         f, g = f_new, np.asarray(g_new, dtype=float)
         if f <= best_f:
             best_x, best_f, best_g = x.copy(), f, g.copy()
-        if trace:
-            rows.append((it, f, float(np.max(np.abs(g)))))
     else:
         it = max_iter
     if status == MAX_ITER and float(np.max(np.abs(g), initial=0.0)) <= stop:
         status = CONVERGED
     return MinimizeResult(x=best_x, fun=best_f, grad=best_g,
                           iterations=it, evaluations=evals,
-                          status=status, trace=rows)
+                          status=status)
 
 
 def _two_loop(g, hist) -> np.ndarray:

@@ -508,7 +508,7 @@ def per_piece_limits_penalty(traj, model, limits, config):
         acc = B[2] @ ci
         jer = B[3] @ ci
         snp = B[4] @ ci
-        flat = flat_batch(model, vel, acc, jer, 0.0, 0.0, grad=True)
+        flat = flat_batch(model, vel, acc, jer, grad=True)
         G = limits_residual_batch(limits, flat)
         val, der = phi_arr(config.mu, G)
         h = np.sum(val, axis=1)

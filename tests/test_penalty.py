@@ -30,6 +30,11 @@ def _shifted(traj, offset):
         minco.BoundaryState(b1.pos + offset, b1.vel, b1.acc))
 
 
+def _starting_at(traj, t0):
+    """The same spline flown from time t0."""
+    return minco.MincoTrajectory(t0, traj.T, traj.coeffs, traj.boundary)
+
+
 class TestPhi:
     def test_piecewise_regions(self):
         assert phi(MU, -1.0) == (0.0, 0.0)
@@ -333,8 +338,8 @@ class TestStackedMatchesPerPiece:
             late = random_trajectory(rng, box=10.0,
                                      t0=traj.t_end + window + 1.0)
             early = random_trajectory(rng, n_pieces=2, box=10.0, t0=0.0)
-            early = early.shifted(traj.t0 - window - 1.0 - early.t_end
-                                  + early.t0)
+            early = _starting_at(early, traj.t0 - window - 1.0
+                                 - early.t_end + early.t0)
             far = _shifted(random_trajectory(rng, box=10.0, t0=traj.t0),
                            1e4)
             assert late.t0 > traj.t_end + window
@@ -542,7 +547,8 @@ class TestGridSearch:
                 b = _free_ends_trajectory(rng)
             if kind == "parked":
                 # b lands before a's window opens: every row ties.
-                b = b.shifted(a.t0 - 2.0 * M_d - b.total_duration - 1.0)
+                b = _starting_at(b, a.t0 - 2.0 * M_d - b.total_duration
+                                 - 1.0)
             t_grid = penalty._closed_grid(a.t0, a.t_end, res)
             if kind == "one_row":
                 t_grid = t_grid[rng.integers(len(t_grid)):][:1]
@@ -621,7 +627,7 @@ class TestPolish:
     def test_lanes(self, margins):
         res = fleet.AUDIT_SHARE * margins.M_d
         for y, delay in ((32.0, 0.0), (26.0, 0.0), (21.0, 3.0), (20.0, 8.0)):
-            a, b = _lane(20.0), _lane(y).shifted(delay)
+            a, b = _lane(20.0), _starting_at(_lane(y), delay)
             self._assert_not_above(a, b, margins, res)
 
     def test_random_pairs(self):

@@ -90,13 +90,6 @@ class TestMinimize:
         assert res.status == solver.CONVERGED
         assert res.iterations == 0
 
-    def test_trace_records_progress(self):
-        res = solver.minimize(rosenbrock, np.array([2.0, 2.0]), trace=True,
-                              gtol=1e-8, gtol_is_relative=False)
-        assert len(res.trace) == res.iterations
-        fs = [row[1] for row in res.trace]
-        assert fs[-1] <= fs[0]
-
     def test_memory_one_still_converges(self):
         res = solver.minimize(rosenbrock, np.full(4, -1.2), memory=1,
                               gtol=1e-7, gtol_is_relative=False, max_iter=5000)

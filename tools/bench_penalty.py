@@ -11,7 +11,9 @@ corridor box per piece drawn in so that nodes violate it, and one neighbour
 flying through the same space at the same time.  It then times
 corridor_penalty, capsule_penalty (SafetyMargins(5, 2, 0.5), as the
 fleetbench workloads) and limits_penalty (default VehicleModel and Limits),
-all at the default PenaltyConfig.  It also times
+all at the default PenaltyConfig, and flat_batch, primal and grad=True, at
+the nodes limits_penalty evaluates (16 per piece: 32, 96 and 192).  It also
+times
 check_equivalent_criterion at the audit's grid step on three fixed pairs
 of 90 m, 15 s, three-piece lanes 36 m up, like audit-fleet's: two parallel
 lanes 12 m apart ("lanes", which the coefficient boxes prune), two lanes
@@ -19,8 +21,8 @@ crossing at their midpoints 21 s apart, as consecutive audit-fleet waves
 do ("waves"), and the same two lanes at the same time ("crossing").  Each
 time is the median over ROUNDS rounds of the mean over CALLS calls, in ms,
 after WARMUP calls.  It prints one JSON object: ms per evaluation by
-functional and M, ms per pair-kernel call by pair, and the host's core
-count.
+functional and M, ms per flat_batch call by node count, ms per pair-kernel
+call by pair, and the host's core count.
 """
 
 import json
@@ -39,7 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from swarmplan import fleet, minco, penalty  # noqa: E402
-from swarmplan.dynamics import Limits, VehicleModel  # noqa: E402
+from swarmplan.dynamics import Limits, VehicleModel, flat_batch  # noqa: E402
 from swarmplan.geom import Aabb, HalfspacePolytope  # noqa: E402
 from swarmplan.penalty import PenaltyConfig, SafetyMargins  # noqa: E402
 
@@ -105,7 +107,7 @@ def main():
     config = PenaltyConfig()
     model, limits = VehicleModel(), Limits()
     out = {"corridor_penalty": {}, "capsule_penalty": {},
-           "limits_penalty": {}}
+           "limits_penalty": {}, "flat_batch": {}, "flat_batch_grad": {}}
     for M in PIECES:
         rng = np.random.default_rng([SEED, M])
         traj = _spline(rng, M, 0.0)
@@ -121,6 +123,12 @@ def main():
         }
         for name, fun in calls.items():
             out[name][str(M)] = _ms_per_call(fun)
+        nodes = penalty._stacked_nodes(traj, config.n_q, (1, 2, 3))
+        vel, acc, jer = (nodes.deriv[k].reshape(-1, 3) for k in (1, 2, 3))
+        out["flat_batch"][str(len(vel))] = _ms_per_call(
+            lambda: flat_batch(model, vel, acc, jer))
+        out["flat_batch_grad"][str(len(vel))] = _ms_per_call(
+            lambda: flat_batch(model, vel, acc, jer, grad=True))
     res = fleet.AUDIT_SHARE * MARGINS.M_d
     out["check_equivalent_criterion"] = {}
     for name, (a0, a1, b0, b1, t_b) in PAIRS.items():
