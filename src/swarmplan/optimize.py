@@ -412,6 +412,21 @@ def _blocked_message(hit, seen, s_grid, t, cause):
             f" m of {s_grid[-1]:.2f} m is blocked by neighbor {names}")
 
 
+def _lattice_step(prev, N, J):
+    """Lattice states one layer after the reached set prev[j, i]: (i, j)
+    goes to (i + 2 j + u, j + u), u in {-1, 0, 1}, 0 <= j + u <= J and
+    i + 2 j + u <= N.  Rows written at width W + 2, W = N + 2 J + 3, and
+    read back at width W start 2 j later; each u is then one shifted OR."""
+    W = N + 2 * J + 3
+    flat = np.zeros((J + 1) * (W + 2), dtype=bool)
+    flat.reshape(J + 1, W + 2)[:, :N + 1] = prev
+    shifted = flat[:(J + 1) * W].reshape(J + 1, W)
+    R = shifted[:, :N + 1].copy()
+    R[1:, 1:] |= shifted[:-1, :N]
+    R[:-1] |= shifted[1:, 1:N + 2]
+    return R
+
+
 def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
                       a_max, t_request, *,
                       dt: float | None = None) -> StampedProfile:
@@ -421,29 +436,42 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     The curve stays and only its timing is searched.  The unobstructed
     rest-to-rest trapezoid is tried first, so a free curve is flown in
     minimal time.  Otherwise an exact-kinematics lattice is searched layer
-    by layer: times t_request + k dt, speeds j a' dt with j <= J, and arc
-    lengths i h, h = a' dt^2 / 2 = L / N with N even and a' <= a_max.  One
-    layer accelerates by u a', u in {-1, 0, 1}, taking (i, j) to
+    by layer: times t_k = t_request + k dt, speeds j a' dt with j <= J, and
+    arc lengths i h, h = a' dt^2 / 2 = L / N with N even and a' <= a_max.
+    One layer accelerates by u a', u in {-1, 0, 1}, taking (i, j) to
     (i + 2 j + u, j + u); i + j keeps its parity, so (N, 0) is reachable.
-    A cell (i, k) is blocked when curve.at(i h) comes within 2 M_r
-    (weighted) of a neighbor at t_k + v, v on the delay window's grid, by
-    the arithmetic of penalty._window_sq_dists; every sample of the
-    returned profile is a lattice point that passed this test.
 
-    Once every window lies after every neighbor's t_end, the neighbors are
-    parked (the presence model of penalty.check_equivalent_criterion) and
-    the blocked map no longer changes, so a reachable set that repeats from
-    one layer to the next repeats for ever.  ScheduleTimeout is raised when
-    the reachable set empties or repeats; its message names the blocked
-    arc-length span ahead of the farthest cell reached and the neighbors
-    that block it.  The counts, on the profile or the error, hold the
-    layers expanded, the lattice states reached ("cells") and the
-    candidate states dropped as "blocked".
+    The delay window is made of layer samples: a cell (i, k) is blocked
+    when curve.at(i h) comes within 2 M_r (weighted) of a neighbor at a
+    sample t_request + m dt, |m - k| <= K = ceil(2 M_d / dt) (40 at
+    plan_mission's dt = M_d / 20; K dt > 2 M_d when 2 M_d / dt is not a
+    whole number); the trapezoid is tested over the same offsets m dt.
+    Each (cell, sample) distance is computed once, when the sample enters
+    the window, and per neighbor and cell the last sample within 2 M_r is
+    kept: layer k's blocked cells are those whose last one is at least
+    k - K (a sliding window, van Herk 1992).  Every sample of the returned
+    profile is a lattice point that passed this test.
+
+    Once every window sample lies after every neighbor's t_end, the
+    neighbors are parked (the presence model of
+    penalty.check_equivalent_criterion) and the blocked map no longer
+    changes, so a reachable set that repeats from one layer to the next
+    repeats for ever.  ScheduleTimeout is raised when the reachable set
+    empties or repeats; its message names the blocked arc-length span
+    ahead of the farthest cell reached and the neighbors that block it,
+    from the blocked map masked to the cells entered in the last layer
+    (all cells once the map is static).  The counts, on the profile or the
+    error, hold the layers expanded, the lattice states reached ("cells")
+    and the candidate states dropped as "blocked".
     """
     L = curve.length
     if dt is None:
         dt = _check_step(margins, v_max)
-    offsets = penalty._closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, dt)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"schedule step dt must be positive and finite, "
+                         f"got {dt}")
+    K = int(np.ceil(2.0 * margins.M_d / dt - 1e-9))
+    window = dt * np.arange(-K, K + 1)
     limit_sq = (2.0 * margins.M_r) ** 2
     neighbors = list(neighbors)
     counts = {"layers": 0, "cells": 0, "blocked": 0}
@@ -452,7 +480,7 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     tau = np.append(dt * np.arange(int(np.ceil(T / dt - 1e-9))), T)
     s, v = _trapezoid(L, v_max, a_max, tau)
     if all(float(np.min(penalty._window_sq_dists(
-            curve.at(s), t_request + tau, nb, offsets, margins))) >= limit_sq
+            curve.at(s), t_request + tau, nb, window, margins))) >= limit_sq
            for nb in neighbors):
         return StampedProfile(curve=curve, t=t_request + tau, s=s, sdot=v,
                               t_request=t_request, counts=counts)
@@ -462,37 +490,33 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
     J = int(v_max / unit)
     s_grid = np.linspace(0.0, L, N + 1)
     pts = curve.at(s_grid)
-    # A cell outside the box of a neighbor's window samples, widened by
-    # 2 M_r per weighted axis and 1 um for rounding, is clear of them all.
-    reach = 2.0 * margins.M_r / np.sqrt(margins.W_diag) + 1e-6
+    # Samples t_request + m dt, m = -K .. parked, the first sample after
+    # every t_end: from there on, all neighbors sit at their goals.
     t_end = max(nb.t_end for nb in neighbors)
-
-    def blocked(t, cells):
-        """Per neighbor, which of the cells lie within 2 M_r of it at
-        t + offsets."""
-        hit = np.zeros((len(neighbors), N + 1), dtype=bool)
-        for n, nb in enumerate(neighbors):
-            q = nb.eval_many(t + offsets, 0)
-            near = cells[np.all((pts[cells] > q.min(axis=0) - reach)
-                                & (pts[cells] < q.max(axis=0) + reach),
-                                axis=1)]
-            if len(near):
-                d2 = penalty._window_sq_dists(pts[near], np.array([t]), nb,
-                                              offsets, margins)
-                hit[n, near] = np.min(d2, axis=1) < limit_sq
-        return hit
+    m = np.arange(-K, max(int(np.ceil((t_end - t_request) / dt)) + 2, 1 - K))
+    times = t_request + m * dt
+    parked = int(m[np.argmax(times > t_end)])
+    nb_pos = np.stack([nb.eval_many(times[:parked + K + 1], 0)
+                       for nb in neighbors], axis=1)
+    last = np.full((len(neighbors), N + 1), -K - 1)
+    entered = -K                          # next sample to enter the window
 
     R = np.zeros((J + 1, N + 1), dtype=bool)    # R[j, i]: (i, j) reached
     R[0, 0] = True
     seen = np.zeros(N + 1, dtype=bool)
     layers, prev, static = [], None, False
     while True:
-        t = t_request + counts["layers"] * dt
-        # Only the cells entered are tested until the map is static; then
-        # all of them, once.
+        k = counts["layers"]
+        t = t_request + k * dt
         if not static:
-            static = t + offsets[0] > t_end
-            hit = blocked(t, np.flatnonzero(static | R.any(axis=0)))
+            static = k - K >= parked
+            while entered <= min(k + K, parked):
+                d2 = margins.wdist_sq(pts - nb_pos[entered + K][:, None, :])
+                last[d2 < limit_sq] = entered
+                entered += 1
+            # The message names the cells entered, or all of them once the
+            # map is static.
+            hit = (last >= k - K) & (static | R.any(axis=0))
         cut = hit.any(axis=0)
         counts["blocked"] += int(np.count_nonzero(R[:, cut]))
         R &= ~cut
@@ -505,12 +529,7 @@ def temporal_schedule(curve: pathfind.Path, neighbors, margins, v_max,
             cause = "repeats" if R.any() else "is empty"
             raise ScheduleTimeout(_blocked_message(hit, seen, s_grid, t,
                                                    cause), counts=counts)
-        prev, R = R, np.zeros_like(R)
-        for j in np.flatnonzero(prev.any(axis=1)):
-            for u in (-1, 0, 1):
-                d = 2 * j + u
-                if 0 <= j + u <= J and d <= N:
-                    R[j + u, d:] |= prev[j, :N + 1 - d]
+        prev, R = R, _lattice_step(R, N, J)
         counts["layers"] += 1
 
     # Walk back from (N, 0) through the fastest predecessor reached.

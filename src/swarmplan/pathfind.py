@@ -10,6 +10,7 @@ rest-to-rest duration seed for trajectory optimization.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,18 +166,37 @@ def corridor_search(polymap: geom.PolyMap, p_start, p_goal):
                           p_start=p_start, p_goal=p_goal)
 
 
+# Bound on the rounding of a batched face value n @ x against the scalar
+# poly.contains on the same point: a sum of three products of unit-normal
+# components and coordinates differs by at most a few ulps of sum |x_k|.
+MARCH_ROUNDING = 1e-12
+
+
 def _advance_limit(poly: geom.HalfspacePolytope, path: Path, l0: float,
                    march: float, tol: float) -> float:
-    """Largest arc length reachable from l0 while staying inside poly."""
+    """Largest arc length reachable from l0 while staying inside poly.
+
+    The march steps by march from l0, stopping at every path vertex, and
+    bisects the first step that leaves poly (with 1e-9 slack) down to tol.
+    Its steps are built first by the scalar march's own float arithmetic
+    and tested in one batch: the steps whose face values all clear
+    offset + slack by more than MARCH_ROUNDING (1 + sum |x_k|) are inside
+    by the scalar test too, and are skipped.  The scalar march, with
+    poly.contains and the same bisection, runs from the first step that
+    does not clear, so the result is the scalar march's bit for bit."""
     length = path.length
     slack = 1e-9
-    prev = l0
-    cuts = path.cumlen
+    cuts = path.cumlen.tolist()
+    steps, prev = [l0], l0
     while prev < length - 1e-15:
-        nxt = min(prev + march, length)
-        later = cuts[(cuts > prev + 1e-15) & (cuts < nxt - 1e-15)]
-        if later.size:
-            nxt = float(later[0])
+        prev = _march_step(cuts, prev, march, length)
+        steps.append(prev)
+    pts = path.at(np.asarray(steps[1:]))
+    bound = MARCH_ROUNDING * (1.0 + np.abs(pts).sum(axis=1))
+    clear = poly.contains_many(pts, slack=slack - bound[:, None])
+    prev = steps[int(np.argmin(np.append(clear, False)))]
+    while prev < length - 1e-15:
+        nxt = _march_step(cuts, prev, march, length)
         if poly.contains(path.point(nxt), slack=slack):
             prev = nxt
             continue
@@ -189,6 +209,16 @@ def _advance_limit(poly: geom.HalfspacePolytope, path: Path, l0: float,
                 hi_l = mid
         return lo_l
     return length
+
+
+def _march_step(cuts, prev, march, length):
+    """The march's next arc length from prev: prev + march, or the first
+    path vertex strictly between, or the path's end."""
+    nxt = min(prev + march, length)
+    i = bisect.bisect_right(cuts, prev + 1e-15)
+    if i < len(cuts) and cuts[i] < nxt - 1e-15:
+        nxt = cuts[i]
+    return nxt
 
 
 def corridor_from_path(polymap: geom.PolyMap, path: Path, *,

@@ -51,6 +51,19 @@ def pillar_map():
 
 
 @pytest.fixture(scope="session")
+def tunnel_map():
+    """Rock block with a U-shaped tunnel along y < 15, x > 45 and y > 45."""
+    rng = np.random.default_rng(5)
+    occ = np.ones((12, 12, 6), dtype=bool)
+    occ[:, :3, 1:5] = False
+    occ[9:, :, 1:5] = False
+    occ[:, 9:, 1:5] = False
+    obstacles = geom.ObstacleMap.from_voxels(
+        np.zeros(3), 5.0, occ, bounds=geom.Aabb([0, 0, 0], [60, 60, 30]))
+    return geom.polyhedronize(obstacles, 1e-2, rng)
+
+
+@pytest.fixture(scope="session")
 def gap_map():
     """Solid wall across the scene pierced by one window."""
     rng = np.random.default_rng(11)

@@ -2,15 +2,18 @@
 
 Everything here is written the slow, obvious way on purpose: dense linear
 algebra, exhaustive grids, closed forms.  None of it shares assembly or
-solver code with the package, except the per-piece penalty loops at the
-end: they are the package's earlier form of its quadrature functionals,
-kept to pin the stacked pass bit for bit, so they call its kernels.
+solver code with the package, except the earlier forms at the end: the
+per-piece penalty loops, the scalar corridor march and the per-layer
+scheduler are the package's earlier forms of its quadrature functionals,
+of pathfind._advance_limit and of optimize.temporal_schedule, kept to pin
+the faster forms bit for bit, so they call its kernels.
 """
 
 import numpy as np
 
-from swarmplan import minco
+from swarmplan import minco, optimize, pathfind, penalty
 from swarmplan.dynamics import flat_batch, limits_residual_batch
+from swarmplan.errors import ScheduleTimeout
 from swarmplan.penalty import _piece_nodes, _prunable, phi_arr
 
 
@@ -534,3 +537,131 @@ def per_piece_limits_penalty(traj, model, limits, config):
                  + np.sum(g_j * snp, axis=1))
         bundle.d_T[i] += float(np.sum(coef * h) + np.sum(wt * h_dot * alpha))
     return total, bundle
+
+
+# ---------------------------------------------------------------------------
+# scalar corridor march: one poly.contains per step
+
+def advance_limit(poly, path, l0, march, tol):
+    """Largest arc length reachable from l0 while staying inside poly."""
+    length = path.length
+    slack = 1e-9
+    prev = l0
+    cuts = path.cumlen
+    while prev < length - 1e-15:
+        nxt = min(prev + march, length)
+        later = cuts[(cuts > prev + 1e-15) & (cuts < nxt - 1e-15)]
+        if later.size:
+            nxt = float(later[0])
+        if poly.contains(path.point(nxt), slack=slack):
+            prev = nxt
+            continue
+        lo_l, hi_l = prev, nxt
+        while hi_l - lo_l > tol:
+            mid = 0.5 * (lo_l + hi_l)
+            if poly.contains(path.point(mid), slack=slack):
+                lo_l = mid
+            else:
+                hi_l = mid
+        return lo_l
+    return length
+
+
+# ---------------------------------------------------------------------------
+# per-layer scheduler: the blocked test evaluated afresh at every layer over
+# the whole delay window, and the lattice step one speed row at a time
+
+def lattice_step(prev, N, J):
+    """Each reached (i, j) goes to (i + 2 j + u, j + u), u in {-1, 0, 1}."""
+    R = np.zeros_like(prev)
+    for j in np.flatnonzero(prev.any(axis=1)):
+        for u in (-1, 0, 1):
+            d = 2 * j + u
+            if 0 <= j + u <= J and d <= N:
+                R[j + u, d:] |= prev[j, :N + 1 - d]
+    return R
+
+
+def temporal_schedule(curve, neighbors, margins, v_max, a_max, t_request,
+                      *, dt=None):
+    """optimize.temporal_schedule with a per-layer blocked(t, cells): the
+    neighbors evaluated at t + offsets, offsets the closed grid of step dt
+    over [-2 M_d, 2 M_d], a box pre-filter, and 81 distances per entered
+    cell and layer."""
+    L = curve.length
+    if dt is None:
+        dt = optimize._check_step(margins, v_max)
+    offsets = penalty._closed_grid(-2.0 * margins.M_d, 2.0 * margins.M_d, dt)
+    limit_sq = (2.0 * margins.M_r) ** 2
+    neighbors = list(neighbors)
+    counts = {"layers": 0, "cells": 0, "blocked": 0}
+
+    T = pathfind.profile_total_time(L, v_max, a_max)
+    tau = np.append(dt * np.arange(int(np.ceil(T / dt - 1e-9))), T)
+    s, v = optimize._trapezoid(L, v_max, a_max, tau)
+    if all(float(np.min(penalty._window_sq_dists(
+            curve.at(s), t_request + tau, nb, offsets, margins))) >= limit_sq
+           for nb in neighbors):
+        return optimize.StampedProfile(curve=curve, t=t_request + tau, s=s,
+                                       sdot=v, t_request=t_request,
+                                       counts=counts)
+
+    N = 2 * max(int(np.ceil(L / (a_max * dt * dt))), 1)
+    unit = 2.0 * (L / N) / dt
+    J = int(v_max / unit)
+    s_grid = np.linspace(0.0, L, N + 1)
+    pts = curve.at(s_grid)
+    reach = 2.0 * margins.M_r / np.sqrt(margins.W_diag) + 1e-6
+    t_end = max(nb.t_end for nb in neighbors)
+
+    def blocked(t, cells):
+        hit = np.zeros((len(neighbors), N + 1), dtype=bool)
+        for n, nb in enumerate(neighbors):
+            q = nb.eval_many(t + offsets, 0)
+            near = cells[np.all((pts[cells] > q.min(axis=0) - reach)
+                                & (pts[cells] < q.max(axis=0) + reach),
+                                axis=1)]
+            if len(near):
+                d2 = penalty._window_sq_dists(pts[near], np.array([t]), nb,
+                                              offsets, margins)
+                hit[n, near] = np.min(d2, axis=1) < limit_sq
+        return hit
+
+    R = np.zeros((J + 1, N + 1), dtype=bool)
+    R[0, 0] = True
+    seen = np.zeros(N + 1, dtype=bool)
+    layers, prev, static = [], None, False
+    while True:
+        t = t_request + counts["layers"] * dt
+        if not static:
+            static = t + offsets[0] > t_end
+            hit = blocked(t, np.flatnonzero(static | R.any(axis=0)))
+        cut = hit.any(axis=0)
+        counts["blocked"] += int(np.count_nonzero(R[:, cut]))
+        R &= ~cut
+        counts["cells"] += int(np.count_nonzero(R))
+        layers.append(R.copy())
+        seen |= R.any(axis=0)
+        if R[0, N]:
+            break
+        if not R.any() or static and np.array_equal(R, prev):
+            cause = "repeats" if R.any() else "is empty"
+            raise ScheduleTimeout(optimize._blocked_message(
+                hit, seen, s_grid, t, cause), counts=counts)
+        prev, R = R, lattice_step(R, N, J)
+        counts["layers"] += 1
+
+    i, j = N, 0
+    ij = [(i, j)]
+    for reached in reversed(layers[:-1]):
+        for u in (-1, 0, 1):
+            pj = j - u
+            pi = i - 2 * pj - u
+            if 0 <= pj <= J and pi >= 0 and reached[pj, pi]:
+                break
+        i, j = pi, pj
+        ij.append((i, j))
+    ii, jj = np.array(ij[::-1]).T
+    return optimize.StampedProfile(
+        curve=curve, t=t_request + dt * np.arange(len(layers)),
+        s=s_grid[ii], sdot=unit * jj, t_request=t_request, counts=counts)

@@ -325,6 +325,82 @@ class TestTemporalSchedule:
                                           offsets, margins)
             assert float(d2.min()) >= (2.0 * margins.M_r) ** 2
 
+    @pytest.mark.parametrize("N, J", [(6, 5), (10, 2), (40, 7)])
+    def test_lattice_step_equals_row_loop(self, N, J):
+        # Random reach sets of every density, the j = 0 and j = J rows
+        # always set in some, and N = 6 < 2 J: rows whose shift passes N.
+        rng = np.random.default_rng([N, J])
+        for density in (0.05, 0.3, 0.9):
+            for _ in range(10):
+                prev = rng.random((J + 1, N + 1)) < density
+                prev[[0, J], rng.integers(0, N + 1, 2)] = True
+                assert np.array_equal(optimize._lattice_step(prev, N, J),
+                                      oracles.lattice_step(prev, N, J))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_schedule_equals_per_layer_oracle(self, margins, seed):
+        # A 30-60 m curve of 1-2 segments and 1-3 neighbors crossing it at
+        # random times, some ending on it or leaving from near it, at dt =
+        # M_d / 20, as plan_mission schedules, or M_d / 10 or M_d / 8: where
+        # 2 M_d / dt is a whole number the windowed map gives the per-layer
+        # blocked test's profile and counts, or its ScheduleTimeout message
+        # and counts.
+        rng = np.random.default_rng([25, seed])
+        n_seg = rng.integers(1, 3)
+        heading = (np.cumsum(rng.uniform(-np.pi / 4, np.pi / 4, n_seg))
+                   + rng.uniform(0.0, 2.0 * np.pi))
+        legs = rng.uniform(30.0, 60.0) / n_seg * np.column_stack(
+            [np.cos(heading), np.sin(heading), rng.uniform(-0.1, 0.1, n_seg)])
+        curve = pathfind.Path(np.cumsum(np.vstack([[0.0, 0.0, 20.0], legs]),
+                                        axis=0))
+        neighbors = []
+        for _ in range(rng.integers(1, 4)):
+            p = curve.at(rng.uniform(0.2, 0.9) * curve.length)
+            side = rng.normal(size=3) * [1.0, 1.0, 0.1]
+            side *= rng.uniform(20.0, 40.0) / np.linalg.norm(side)
+            # Crossing, ending on the curve, or leaving from near it.
+            ends = [(p - side, p + side), (p - side, p),
+                    (p + 0.1 * side, p + side)][rng.integers(0, 3)]
+            neighbors.append(_transit_traj(*ends, rng.uniform(-3.0, 6.0),
+                                           rng.uniform(5.0, 12.0)))
+        v_max, a_max = rng.uniform(5.0, 12.0), rng.uniform(1.5, 3.5)
+        dt = [None, 0.2, 0.25][seed % 3]
+        args = (curve, neighbors, margins, v_max, a_max)
+        try:
+            want = oracles.temporal_schedule(*args, t_request=0.5, dt=dt)
+        except ScheduleTimeout as exc:
+            with pytest.raises(ScheduleTimeout) as info:
+                temporal_schedule(*args, t_request=0.5, dt=dt)
+            assert str(info.value) == str(exc)
+            assert info.value.counts == exc.counts
+            return
+        got = temporal_schedule(*args, t_request=0.5, dt=dt)
+        for key in ("t", "s", "sdot"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+        assert got.counts == want.counts
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.inf, np.nan])
+    def test_bad_step_rejected(self, margins, dt):
+        curve = pathfind.Path([[0, 0, 5], [40, 0, 5]])
+        with pytest.raises(ValueError, match="dt"):
+            temporal_schedule(curve, [], margins, 4.0, 2.0, t_request=0.0,
+                              dt=dt)
+
+    def test_window_of_layer_samples_at_uneven_step(self, margins):
+        # At dt = 0.07, 2 M_d / dt = 57.1 is not a whole number: the window
+        # is the K = 58 layer samples on each side, 4.06 s, not 4 s.
+        dt = 0.07
+        K = int(np.ceil(2.0 * margins.M_d / dt))
+        assert K == 58
+        curve = pathfind.Path([[0, 0, 5], [40, 0, 5]])
+        nb = _transit_traj([20, -40, 5], [20, 40, 5], 1.0, 10.0)
+        prof = temporal_schedule(curve, [nb], margins, 4.0, 2.0,
+                                 t_request=0.0, dt=dt)
+        assert prof.counts["layers"] > 0
+        d2 = penalty._window_sq_dists(curve.at(prof.s), prof.t, nb,
+                                      dt * np.arange(-K, K + 1), margins)
+        assert float(d2.min()) >= (2.0 * margins.M_r) ** 2
+
     def test_profile_validation(self):
         curve = pathfind.Path([[0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError):

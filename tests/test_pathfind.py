@@ -209,6 +209,63 @@ class TestCorridor:
         with pytest.raises(CoverageGap):
             corridor_from_path(gap_map, path)
 
+    @pytest.mark.parametrize("scene", ["box_map", "pillar_map", "tunnel_map"])
+    def test_batched_march_equals_scalar(self, scene, request, monkeypatch):
+        # 50 straight segments inside the cover per scene and, where there
+        # are any, 5 that leave it and the multi-leg chains corridor_search
+        # finds for them: the batched march gives the scalar march's ids
+        # and switch points bit for bit, or the same CoverageGap.
+        polymap = request.getfixturevalue(scene)
+        rng = np.random.default_rng(25)
+        inside, outside, chains = [], [], []
+        while len(inside) < 50:
+            a, b = rng.uniform(polymap.bounds.lo, polymap.bounds.hi,
+                               size=(2, 3))
+            if not (polymap.contains_union(a)
+                    and polymap.contains_union(b)):
+                continue
+            if geom.segment_inside(polymap, a, b):
+                inside.append(Path([a, b]))
+            elif len(outside) < 5:
+                outside.append(Path([a, b]))
+                try:
+                    chains.append(corridor_search(polymap, a, b)[0])
+                except NoPath:
+                    pass
+        paths = inside + outside + chains
+
+        def extract(path):
+            try:
+                corr = corridor_from_path(polymap, path)
+            except CoverageGap as exc:
+                return str(exc)
+            return corr.ids, corr.switch_points
+
+        batched = [extract(path) for path in paths]
+        monkeypatch.setattr(pathfind, "_advance_limit",
+                            oracles.advance_limit)
+        for got, want in zip(batched, map(extract, paths)):
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+        assert sum(not isinstance(w, str) for w in batched) >= 50
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-10, 1e-9 - 1e-12, 1e-9,
+                                     1e-9 + 1e-12, 2e-9])
+    def test_batched_march_along_a_face(self, gap):
+        # Segments gap outside the top face of a box, inside the march's
+        # 1e-9 slack or just past it, that run along it or leave the box
+        # through its end: the batched skip never passes a step that the
+        # scalar test rejects, so both return the same arc length.
+        poly = HalfspacePolytope.from_aabb(Aabb([0, 0, 0], [10, 10, 10]))
+        for end in (9.0, 12.0):
+            path = Path([[1.0, 10.0 + gap, 5.0], [end, 10.0 + gap, 5.0]])
+            for l0 in (0.0, 0.35):
+                assert pathfind._advance_limit(poly, path, l0, 0.1, 1e-6) \
+                    == oracles.advance_limit(poly, path, l0, 0.1, 1e-6)
+
 
 class TestRefine:
     def test_never_longer_than_guide(self, pillar_map):

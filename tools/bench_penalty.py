@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Per-evaluation time of the three quadrature penalties and per-call time
-of the pair kernel.
+of the pair kernel, the scheduler and the corridor march.
 
 Run from anywhere; it imports the program from this checkout's src/:
 
@@ -18,11 +18,21 @@ check_equivalent_criterion at the audit's grid step on three fixed pairs
 of 90 m, 15 s, three-piece lanes 36 m up, like audit-fleet's: two parallel
 lanes 12 m apart ("lanes", which the coefficient boxes prune), two lanes
 crossing at their midpoints 21 s apart, as consecutive audit-fleet waves
-do ("waves"), and the same two lanes at the same time ("crossing").  Each
-time is the median over ROUNDS rounds of the mean over CALLS calls, in ms,
-after WARMUP calls.  It prints one JSON object: ms per evaluation by
-functional and M, ms per flat_batch call by node count, ms per pair-kernel
-call by pair, and the host's core count.
+do ("waves"), and the same two lanes at the same time ("crossing").  It
+times temporal_schedule at the benchmark margins, at plan_mission's step
+M_d / 20 and its 0.95 v_max and Limits.accel_cap, on a 44 m line of the
+open-crossing star (fleetbench/workloads.py _star(1)) against a 14 s lane
+along _star(0)'s line ("crossing", which waits for the lane), and against
+a 14 s lane from _star(0)'s start to the star's centre, where it parks on
+the line ("static": the search runs until the blocked map is static and
+the reachable set repeats, and ScheduleTimeout ends the call).  It times
+corridor_from_path on the eight straight _star(0..7) segments in the box
+cover that box_scene builds, as ms per segment.  Each
+time is the median over ROUNDS rounds of the mean over CALLS calls (2 for
+the scheduler), in ms, after WARMUP calls.  It prints one JSON object: ms
+per evaluation by functional and M, ms per flat_batch call by node count,
+ms per call by pair-kernel pair and by scheduler case, ms per corridor
+segment, and the host's core count.
 """
 
 import json
@@ -37,11 +47,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "fleetbench"))
 
-from swarmplan import fleet, minco, penalty  # noqa: E402
+import workloads  # noqa: E402
+from swarmplan import fleet, minco, optimize, pathfind, penalty  # noqa: E402
 from swarmplan.dynamics import Limits, VehicleModel, flat_batch  # noqa: E402
+from swarmplan.errors import ScheduleTimeout  # noqa: E402
 from swarmplan.geom import Aabb, HalfspacePolytope  # noqa: E402
 from swarmplan.penalty import PenaltyConfig, SafetyMargins  # noqa: E402
 
@@ -91,16 +104,28 @@ def _corridor(traj):
     return polys
 
 
-def _ms_per_call(fun):
+def _ms_per_call(fun, calls=CALLS):
     for _ in range(WARMUP):
         fun()
     rounds = []
     for _ in range(ROUNDS):
         t = time.perf_counter()
-        for _ in range(CALLS):
+        for _ in range(calls):
             fun()
-        rounds.append((time.perf_counter() - t) / CALLS * 1e3)
+        rounds.append((time.perf_counter() - t) / calls * 1e3)
     return round(statistics.median(rounds), 3)
+
+
+def _schedule(curve, lane, model, limits):
+    """temporal_schedule with plan_mission's step and limits; a
+    ScheduleTimeout is the call's end."""
+    try:
+        optimize.temporal_schedule(
+            curve, [lane], MARGINS, optimize.SCHED_SPEED_SHARE * limits.v_max,
+            limits.accel_cap(model), t_request=0.0,
+            dt=optimize._check_step(MARGINS, limits.v_max))
+    except ScheduleTimeout:
+        pass
 
 
 def main():
@@ -135,6 +160,22 @@ def main():
         a, b = _lane(a0, a1), _lane(b0, b1, t_b)
         out["check_equivalent_criterion"][name] = _ms_per_call(
             lambda: penalty.check_equivalent_criterion(a, b, MARGINS, res))
+    m1, m2 = workloads._star(0), workloads._star(1)
+    curve = pathfind.Path([m2.p_o, m2.p_f])
+    out["temporal_schedule"] = {}
+    centre = 0.5 * (m1.p_o + m1.p_f)
+    for name, goal in (("crossing", m1.p_f), ("static", centre)):
+        lane = minco.construct(0.0, [14.0], np.zeros((0, 3)),
+                               minco.BoundaryState.hover(m1.p_o),
+                               minco.BoundaryState.hover(goal))
+        out["temporal_schedule"][name] = _ms_per_call(
+            lambda: _schedule(curve, lane, model, limits), calls=2)
+    box = workloads.box_scene()
+    segments = [pathfind.Path([m.p_o, m.p_f])
+                for m in map(workloads._star, range(8))]
+    out["corridor_from_path"] = {"star": round(_ms_per_call(
+        lambda: [pathfind.corridor_from_path(box, p) for p in segments])
+        / len(segments), 3)}
     print(json.dumps({"unit": "ms per evaluation or call", "seed": SEED,
                       "cores": os.cpu_count(), "ms": out}))
 
